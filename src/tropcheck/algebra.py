@@ -24,7 +24,7 @@ from .errors import (
     PositiveCycle,
 )
 from .polytopes import EmbeddingReport, Polytope, column_space, row_space
-from .semiring import BOTTOM, Matrix, as_vector, double_residual
+from .semiring import BOTTOM, Matrix, as_vector, double_residual, right_residual
 
 REASON_DIMENSION_MISMATCH = "dimension-mismatch"
 REASON_NOT_MIN_PLUS_CONVEX = "not-min-plus-convex"
@@ -111,15 +111,12 @@ def infimum_matrix(polytope: Polytope) -> Matrix:
     """The square matrix whose column i is the infimum of the points of the
     polytope with non-negative i-th coordinate.
 
-    Entrywise M[j][i] = min over generators g of (g[j] - g[i]); the value
-    does not depend on the choice of generating set and the diagonal is 0.
+    Entrywise M[j][i] = min over generators g of (g[j] - g[i]), which is the
+    right residual G / G of the generator matrix by itself; the value does
+    not depend on the choice of generating set and the diagonal is 0.
     """
-    gens = polytope.extremals().generators
-    k = polytope.ambient
-    entries = tuple(
-        tuple(min(g[j] - g[i] for g in gens) for i in range(k)) for j in range(k)
-    )
-    return Matrix._raw(entries)
+    g = polytope.generator_matrix()
+    return right_residual(g, g)
 
 
 def same_span(p: Polytope, q: Polytope) -> bool:

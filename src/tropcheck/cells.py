@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
     NotSquare,
     ScaleLimitExceeded,
 )
-from .polytopes import Polytope, canonical_point, column_space
+from .polytopes import Polytope, _member, _principal, canonical_point, column_space
 from .semiring import Matrix, as_vector
 
 DEFAULT_MAX_TUPLES = 10**7
@@ -259,24 +258,22 @@ def cell_complex(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES) -> Ce
     meeting the polytope; the tropical dimension is their maximal
     dimension, and the complex is pure when every covering cell sits
     inside a covering cell of maximal dimension.
+
+    The bound is checked on every call; the complex itself is computed
+    once per polytope instance and memoised on it.
     """
-    if max_tuples == DEFAULT_MAX_TUPLES:
-        return _cached_complex(polytope)
-    return _compute_complex(polytope, max_tuples)
+    nominal = (2**polytope.ambient - 1) ** polytope.generator_dimension()
+    if nominal > max_tuples:
+        raise ScaleLimitExceeded(f"{nominal} candidate profiles exceed the bound of {max_tuples}")
+    if polytope._complex is None:
+        polytope._complex = _compute_complex(polytope)
+    return polytope._complex
 
 
-@lru_cache(maxsize=256)
-def _cached_complex(polytope: Polytope) -> CellComplex:
-    return _compute_complex(polytope, DEFAULT_MAX_TUPLES)
-
-
-def _compute_complex(polytope: Polytope, max_tuples: int) -> CellComplex:
+def _compute_complex(polytope: Polytope) -> CellComplex:
     gens = polytope.extremals().generators
     n = polytope.ambient
     m = len(gens)
-    nominal = (2**n - 1) ** m
-    if nominal > max_tuples:
-        raise ScaleLimitExceeded(f"{nominal} candidate profiles exceed the bound of {max_tuples}")
     scaled, denom = _scaled(gens)
     masks = [frozenset(q for q in range(n) if mask >> q & 1) for mask in range(1 << n)]
     table = [[_edges_for(scaled[i], masks[mask], n) for mask in range(1, 1 << n)] for i in range(m)]
@@ -369,19 +366,12 @@ def descend_to_singletons(e: Matrix, x):
     gens = [cols[j] for j in picked]
     r = len(picked)
 
-    def principal(z):
-        return [min(zq - gq for zq, gq in zip(z, g)) for g in gens]
-
-    def recombine(lams):
-        return tuple(max(lams[i] + gens[i][p] for i in range(r)) for p in range(n))
-
-    lams = principal(x)
-    if recombine(lams) != x:
+    if not _member(x, gens):
         raise NotMember("the point is not in the column space")
 
     z = x
     for _ in range(r * r * n + 1):
-        lams = principal(z)
+        lams = _principal(z, gens)
         cov = _profile_covector(_argmin_profile(z, gens), n)
         triple = None
         for p in range(n):

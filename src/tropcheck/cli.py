@@ -217,6 +217,13 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropcheck",
@@ -262,9 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--output", "-o", default="-")
     oracle.add_argument("--format", choices=("json", "text"), default="json")
     oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument("--count", type=int, default=100)
-    oracle.add_argument("--n", type=int, default=4)
-    oracle.add_argument("--m", type=int, default=4)
+    oracle.add_argument("--count", type=_positive_int, default=100)
+    oracle.add_argument("--n", type=_positive_int, default=4)
+    oracle.add_argument("--m", type=_positive_int, default=4)
     oracle.set_defaults(func=_cmd_oracle)
 
     return parser

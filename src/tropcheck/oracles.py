@@ -26,8 +26,8 @@ from .algebra import (
 )
 from .cells import covector, covector_leq, cell_complex, descend_to_singletons, pure_dimension
 from .errors import NonFiniteEntries, ScaleLimitExceeded
-from .polytopes import Polytope, canonical_point, column_space, row_space
-from .semiring import Matrix, vec_leq, vec_max, vec_min, vec_scale
+from .polytopes import Polytope, _combine, canonical_point, column_space, row_space
+from .semiring import Matrix, vec_leq, vec_min, vec_scale
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +97,8 @@ def random_point(polytope: Polytope, *, seed=None, rng=None, lo=-5, hi=5):
     """A random point of the polytope: a max-plus combination of generators."""
     rng = _rng(seed, rng)
     gens = polytope.generators
-    point = vec_scale(random_entry(rng, lo, hi), gens[0])
-    for g in gens[1:]:
-        point = vec_max(point, vec_scale(random_entry(rng, lo, hi), g))
-    return point
+    lams = [random_entry(rng, lo, hi) for _ in gens]
+    return _combine(lams, gens, polytope.ambient)
 
 
 def exhaustive_matrices(n: int, entry_set):

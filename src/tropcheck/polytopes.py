@@ -44,7 +44,10 @@ def _member(x, gens) -> bool:
 class Polytope:
     """A non-empty finitely generated submodule of FT^n."""
 
-    __slots__ = ("ambient", "generators", "_extremals")
+    # Derived objects are memoised on the instance.  Each is a pure function
+    # of the generators, so a concurrent first computation writes an equal
+    # value and sharing a polytope across threads stays safe.
+    __slots__ = ("ambient", "generators", "_extremals", "_row_space", "_complex")
 
     def __init__(self, points):
         pts = sorted({canonical_point(p) for p in points})
@@ -56,6 +59,8 @@ class Polytope:
         self.ambient = n
         self.generators = tuple(pts)
         self._extremals = None
+        self._row_space = None
+        self._complex = None  # owned by cells.cell_complex
 
     # -- membership
 
@@ -98,13 +103,13 @@ class Polytope:
 
     def generator_matrix(self) -> Matrix:
         """The matrix whose columns are the canonical extremal generators."""
-        gens = self.extremals().generators
-        return Matrix._raw(tuple(tuple(g[p] for g in gens) for p in range(self.ambient)))
+        return Matrix.from_columns(self.extremals().generators)
 
     def row_space(self) -> "Polytope":
         """Polytope generated by the rows of the canonical generator matrix."""
-        gens = self.extremals().generators
-        return Polytope([tuple(g[p] for g in gens) for p in range(self.ambient)])
+        if self._row_space is None:
+            self._row_space = Polytope(self.generator_matrix().entries)
+        return self._row_space
 
     def dual_dimension(self) -> int:
         """Minimal number of generators under scaling and greatest lower bound.
@@ -121,8 +126,8 @@ class Polytope:
         the row space and restricts every generator to the kept rows.
         """
         gens = self.extremals().generators
-        rows = [tuple(g[p] for g in gens) for p in range(self.ambient)]
-        targets = Polytope(rows).extremals().generators
+        rows = self.generator_matrix().entries
+        targets = self.row_space().extremals().generators
         selection = []
         for target in targets:
             for p, row in enumerate(rows):

@@ -259,34 +259,12 @@ class Matrix:
     def apply(self, x):
         """Act on a column vector: (A x)[i] = max_k (A[i][k] + x[k])."""
         x = as_vector(x, length=self.cols)
-        out = []
-        for arow in self.entries:
-            best = BOTTOM
-            for a, e in zip(arow, x):
-                if a is BOTTOM or e is BOTTOM:
-                    continue
-                s = a + e
-                if best is BOTTOM or s > best:
-                    best = s
-            out.append(best)
-        return tuple(out)
+        return self.mul(Matrix._raw(tuple((e,) for e in x))).col(0)
 
     def left_apply(self, x):
         """Act on a row vector: (x A)[j] = max_k (x[k] + A[k][j])."""
         x = as_vector(x, length=self.rows)
-        out = []
-        for j in range(self.cols):
-            best = BOTTOM
-            for k in range(self.rows):
-                a = x[k]
-                b = self.entries[k][j]
-                if a is BOTTOM or b is BOTTOM:
-                    continue
-                s = a + b
-                if best is BOTTOM or s > best:
-                    best = s
-            out.append(best)
-        return tuple(out)
+        return Matrix._raw((x,)).mul(self).row(0)
 
     def leq(self, other: "Matrix") -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -344,52 +322,28 @@ def left_residual(a: Matrix, b: Matrix) -> Matrix:
 
 
 def right_residual(b: Matrix, a: Matrix) -> Matrix:
-    """Greatest X with X @ a <= b, entrywise (b/a)[i][j] = min_l (b[i][l] - a[j][l])."""
+    """Greatest X with X @ a <= b, entrywise (b/a)[i][j] = min_l (b[i][l] - a[j][l]).
+
+    Transposition turns X @ a <= b into a^T @ X^T <= b^T, so this is the
+    transpose of the left residual a^T \\ b^T.
+    """
     if a.cols != b.cols:
         raise DimensionMismatch("right residual needs matching column counts")
     if not a.is_finite:
         raise NonFiniteEntries("the divisor of a residual must be finite")
-    out = []
-    for i in range(b.rows):
-        row = []
-        for j in range(a.rows):
-            best = None
-            for l in range(a.cols):
-                bil = b.entries[i][l]
-                if bil is BOTTOM:
-                    best = BOTTOM
-                    break
-                d = bil - a.entries[j][l]
-                if best is None or d < best:
-                    best = d
-            row.append(best)
-        out.append(tuple(row))
-    return Matrix._raw(tuple(out))
+    return left_residual(a.transpose(), b.transpose()).transpose()
 
 
 def double_residual(a: Matrix) -> Matrix:
     """Greatest X with a @ X @ a <= a: B[i][j] = min_{k,l} (a[k][l] - a[k][i] - a[j][l]).
 
-    For finite square a the result is finite, which makes it the canonical
-    regularity witness candidate.
+    Computed as a \\ (a / a): the greatest X with a @ X <= a / a, which is
+    exactly the greatest X with a @ X @ a <= a.  For finite square a the
+    result is finite, which makes it the canonical regularity witness
+    candidate.
     """
     if not a.is_square:
         raise NotSquare("the double residual needs a square matrix")
     if not a.is_finite:
         raise NonFiniteEntries("the double residual needs a finite matrix")
-    n = a.rows
-    e = a.entries
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            best = None
-            for k in range(n):
-                eki = e[k][i]
-                for l in range(n):
-                    d = e[k][l] - eki - e[j][l]
-                    if best is None or d < best:
-                        best = d
-            row.append(best)
-        out.append(tuple(row))
-    return Matrix._raw(tuple(out))
+    return left_residual(a, right_residual(a, a))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cells import cell_complex, covector_leq
+from .cells import DEFAULT_MAX_TUPLES, cell_complex, covector_leq
 from .errors import DimensionMismatch
 from .polytopes import Polytope
 
@@ -57,14 +57,11 @@ def _hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def render_polytope_svg(polytope: Polytope, max_tuples=None) -> str:
+def render_polytope_svg(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES) -> str:
     """The SVG scene for a polytope in FT^3."""
     if polytope.ambient != 3:
         raise DimensionMismatch("plots are drawn for polytopes in ambient dimension 3")
-    if max_tuples is None:
-        complex_ = cell_complex(polytope)
-    else:
-        complex_ = cell_complex(polytope, max_tuples)
+    complex_ = cell_complex(polytope, max_tuples)
 
     gens = polytope.extremals().generators
     marks = [projectivise(g) for g in gens]

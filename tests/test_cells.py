@@ -170,6 +170,17 @@ def test_scale_limit_is_enforced():
         cell_complex(p, max_tuples=10)
 
 
+def test_complex_is_memoised_per_instance_and_guard_still_applies():
+    p = random_polytope(3, 3, seed=22)
+    first = cell_complex(p)
+    with pytest.raises(ScaleLimitExceeded):
+        cell_complex(p, max_tuples=10)
+    assert cell_complex(p) is first
+    twin = random_polytope(3, 3, seed=22)
+    assert twin is not p and twin == p
+    assert cell_complex(twin) == first
+
+
 def test_tropical_dimension_cases(golden_idempotent):
     assert tropical_dimension(column_space(golden_idempotent)) == 3
     assert tropical_dimension(Polytope([(0, -1, -2, 4)])) == 1

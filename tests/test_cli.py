@@ -238,6 +238,16 @@ def test_oracle_unknown_suite():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--n", "0"], ["--m", "0"], ["--count", "0"], ["--n", "-3"], ["--count", "-1"]],
+)
+def test_oracle_rejects_non_positive_sizes(flags):
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "top-cell", *flags])
+    assert err.value.code == 2
+
+
 # -- text rendering and the installed entry point
 
 

@@ -10,9 +10,11 @@ from tropcheck import (
     DimensionMismatch,
     Matrix,
     NonFiniteEntries,
+    Polytope,
     as_entry,
     double_residual,
     format_entry,
+    infimum_matrix,
     left_residual,
     parse_entry,
     right_residual,
@@ -202,3 +204,86 @@ def test_double_residual_bound_randomised():
         b = double_residual(a)
         assert b.is_finite
         assert a.mul(b).mul(a).leq(a)
+
+
+# -- composed kernels against the entrywise formulas they replace
+
+
+def _ref_min(terms):
+    terms = list(terms)
+    return BOTTOM if any(t is BOTTOM for t in terms) else min(terms)
+
+
+def _ref_max(terms):
+    terms = [t for t in terms if t is not BOTTOM]
+    return max(terms) if terms else BOTTOM
+
+
+def _ref_sub(b, a):
+    return BOTTOM if b is BOTTOM else b - a
+
+
+def _ref_add(a, b):
+    return BOTTOM if a is BOTTOM or b is BOTTOM else a + b
+
+
+@st.composite
+def _matrix(draw, rows, cols, cells):
+    return Matrix([[draw(cells) for _ in range(cols)] for _ in range(rows)])
+
+
+dims = st.integers(min_value=1, max_value=4)
+
+
+@given(st.data(), dims, dims, dims)
+def test_residuals_match_entrywise_formulas(data, r, k, c):
+    a = data.draw(_matrix(r, k, finite))
+    b = data.draw(_matrix(r, c, entries))
+    expected = [
+        [_ref_min(_ref_sub(b.entries[p][j], a.entries[p][i]) for p in range(r)) for j in range(c)]
+        for i in range(k)
+    ]
+    assert left_residual(a, b) == Matrix(expected)
+
+    d = data.draw(_matrix(c, k, finite))
+    b = data.draw(_matrix(r, k, entries))
+    expected = [
+        [_ref_min(_ref_sub(b.entries[i][l], d.entries[j][l]) for l in range(k)) for j in range(c)]
+        for i in range(r)
+    ]
+    assert right_residual(b, d) == Matrix(expected)
+
+
+@given(st.data(), dims)
+def test_double_residual_matches_entrywise_formula(data, n):
+    a = data.draw(_matrix(n, n, finite))
+    e = a.entries
+    expected = [
+        [
+            min(e[k][l] - e[k][i] - e[j][l] for k in range(n) for l in range(n))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    assert double_residual(a) == Matrix(expected)
+
+
+@given(st.data(), dims, dims)
+def test_actions_match_entrywise_formulas(data, r, c):
+    a = data.draw(_matrix(r, c, entries))
+    x = tuple(data.draw(entries) for _ in range(c))
+    y = tuple(data.draw(entries) for _ in range(r))
+    assert a.apply(x) == tuple(
+        _ref_max(_ref_add(a.entries[i][k], x[k]) for k in range(c)) for i in range(r)
+    )
+    assert a.left_apply(y) == tuple(
+        _ref_max(_ref_add(y[k], a.entries[k][j]) for k in range(r)) for j in range(c)
+    )
+
+
+@given(st.data(), dims, dims)
+def test_infimum_matrix_matches_entrywise_formula(data, n, m):
+    p = Polytope([tuple(data.draw(finite) for _ in range(n)) for _ in range(m)])
+    gens = p.extremals().generators
+    expected = [[min(g[j] - g[i] for g in gens) for i in range(n)] for j in range(n)]
+    assert infimum_matrix(p) == Matrix(expected)
