@@ -129,6 +129,17 @@ def same_span(p: Polytope, q: Polytope) -> bool:
     )
 
 
+def _synthesize(polytope: Polytope) -> tuple[Matrix, str | None]:
+    """The infimum matrix of the polytope and why it fails to be an idempotent
+    with the polytope as its column space, or None when it is one."""
+    candidate = infimum_matrix(polytope)
+    if candidate.mul(candidate) != candidate:
+        return candidate, "the infimum matrix is not idempotent"
+    if not same_span(column_space(candidate), polytope):
+        return candidate, "the infimum matrix spans a different polytope"
+    return candidate, None
+
+
 def is_projective(polytope: Polytope) -> ProjectivityReport:
     """Decide projectivity of the polytope as a max-plus module.
 
@@ -138,34 +149,20 @@ def is_projective(polytope: Polytope) -> ProjectivityReport:
     """
     gendim = polytope.generator_dimension()
     dualdim = polytope.dual_dimension()
-    if gendim != dualdim:
-        return ProjectivityReport(
-            projective=False,
-            gendim=gendim,
-            dualdim=dualdim,
-            reason=REASON_DIMENSION_MISMATCH,
-            idempotent=None,
-            embedding=None,
-        )
-    embedding = polytope.embed_minimal()
-    candidate = infimum_matrix(embedding.embedded)
-    if candidate.mul(candidate) == candidate and same_span(
-        column_space(candidate), embedding.embedded
-    ):
-        return ProjectivityReport(
-            projective=True,
-            gendim=gendim,
-            dualdim=dualdim,
-            reason=REASON_PROJECTIVE,
-            idempotent=candidate,
-            embedding=embedding,
-        )
+    reason, idempotent, embedding = REASON_DIMENSION_MISMATCH, None, None
+    if gendim == dualdim:
+        embedding = polytope.embed_minimal()
+        candidate, problem = _synthesize(embedding.embedded)
+        if problem is None:
+            reason, idempotent = REASON_PROJECTIVE, candidate
+        else:
+            reason = REASON_NOT_MIN_PLUS_CONVEX
     return ProjectivityReport(
-        projective=False,
+        projective=idempotent is not None,
         gendim=gendim,
         dualdim=dualdim,
-        reason=REASON_NOT_MIN_PLUS_CONVEX,
-        idempotent=None,
+        reason=reason,
+        idempotent=idempotent,
         embedding=embedding,
     )
 
@@ -179,11 +176,9 @@ def recover_idempotent(polytope: Polytope) -> Matrix:
     """
     if polytope.generator_dimension() != polytope.ambient:
         raise NotFullRank("recovery needs generator dimension equal to the ambient dimension")
-    candidate = infimum_matrix(polytope)
-    if candidate.mul(candidate) != candidate:
-        raise NotAnIdempotentColumnSpace("the infimum matrix is not idempotent")
-    if not same_span(column_space(candidate), polytope):
-        raise NotAnIdempotentColumnSpace("the infimum matrix spans a different polytope")
+    candidate, problem = _synthesize(polytope)
+    if problem is not None:
+        raise NotAnIdempotentColumnSpace(problem)
     return candidate
 
 

@@ -36,8 +36,8 @@ from .errors import (
     NotSquare,
     ScaleLimitExceeded,
 )
-from .polytopes import Polytope, _member, _principal, canonical_point, column_space
-from .semiring import Matrix, as_vector
+from .polytopes import Polytope, _member, canonical_point, column_space
+from .semiring import Matrix, _principal, as_vector, vec_max, vec_scale
 
 DEFAULT_MAX_TUPLES = 10**7
 
@@ -397,5 +397,5 @@ def descend_to_singletons(e: Matrix, x):
             raise AssertionError("distinct extremal generators leave positive slack somewhere")
         eps = min(slacks) / 2
         bump = lams[i] + eps
-        z = tuple(max(zp, bump + gp) for zp, gp in zip(z, gens[i]))
+        z = vec_max(z, vec_scale(bump, gens[i]))
     raise AssertionError("descent exceeded its iteration bound")

@@ -3,8 +3,10 @@
 Subcommands: analyze | polytope | faces | plot | oracle.  Exit codes are
 operational only: 0 whatever the mathematical verdicts, 2 for malformed
 input, 3 for an operation the input shape does not support, 4 when an
-enumeration bound is exceeded.  Verdicts live in the payload; --format
-picks JSON or a line-per-field text rendering of the same data.
+enumeration bound is exceeded, 5 when an internal consistency check fails
+(a defect in tropcheck; the message asks for the input document).
+Verdicts live in the payload; --format picks JSON or a line-per-field text
+rendering of the same data.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_MALFORMED = 2
 EXIT_UNSUPPORTED = 3
 EXIT_SCALE = 4
+EXIT_INTERNAL = 5
 
 
 def _read_text(path: str) -> str:
@@ -73,29 +76,21 @@ def _is_scalar_list(value) -> bool:
 
 
 def _render_text(data, indent: int = 0) -> str:
-    lines = []
     pad = "  " * indent
     if isinstance(data, dict):
-        for key, value in data.items():
-            if _is_scalar_list(value) or not isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}: {_render_scalar(value)}")
-            elif value:
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_render_scalar(value)}")
-        return "\n".join(lines)
-    if isinstance(data, list):
-        for value in data:
-            if _is_scalar_list(value) or not isinstance(value, (dict, list)):
-                lines.append(f"{pad}- {_render_scalar(value)}")
-            elif value:
-                lines.append(f"{pad}-")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {_render_scalar(value)}")
-        return "\n".join(lines)
-    return f"{pad}{_render_scalar(data)}"
+        items = [(f"{key}:", value) for key, value in data.items()]
+    elif isinstance(data, list):
+        items = [("-", value) for value in data]
+    else:
+        return f"{pad}{_render_scalar(data)}"
+    lines = []
+    for label, value in items:
+        if isinstance(value, (dict, list)) and value and not _is_scalar_list(value):
+            lines.append(f"{pad}{label}")
+            lines.append(_render_text(value, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_render_scalar(value)}")
+    return "\n".join(lines)
 
 
 def _render_scalar(value) -> str:
@@ -298,6 +293,12 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"tropcheck: unsupported for this input shape: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except AssertionError as exc:
+        print(
+            f"tropcheck: internal check failed: {exc}; please report it with the input document",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ from .algebra import (
 )
 from .cells import covector, covector_leq, cell_complex, descend_to_singletons, pure_dimension
 from .errors import NonFiniteEntries, ScaleLimitExceeded
-from .polytopes import Polytope, _combine, canonical_point, column_space, row_space
-from .semiring import Matrix, vec_leq, vec_min, vec_scale
+from .polytopes import Polytope, canonical_point, column_space, row_space
+from .semiring import Matrix, _combine, vec_leq, vec_min, vec_scale
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +110,9 @@ def exhaustive_matrices(n: int, entry_set):
 
 @dataclass(frozen=True)
 class Corpus:
-    """A reproducible bundle of instances: rebuilt identically from
-    (seed, parameters)."""
+    """A reproducible bundle of instances: the same arguments rebuild it
+    identically."""
 
-    seed: int
-    kind: str
-    parameters: tuple
     instances: tuple
 
 
@@ -125,8 +122,7 @@ def polytope_corpus(seed: int, count: int, max_n=4, max_m=4, lo=-5, hi=5) -> Cor
         random_polytope(rng.randint(1, max_n), rng.randint(1, max_m), rng=rng, lo=lo, hi=hi)
         for _ in range(count)
     )
-    params = (("count", count), ("max_n", max_n), ("max_m", max_m), ("lo", lo), ("hi", hi))
-    return Corpus(seed=seed, kind="polytope", parameters=params, instances=instances)
+    return Corpus(instances)
 
 
 def idempotent_corpus(seed: int, count: int, max_n=4, lo=-5, full_rank=False) -> Corpus:
@@ -135,8 +131,7 @@ def idempotent_corpus(seed: int, count: int, max_n=4, lo=-5, full_rank=False) ->
         random_idempotent(rng.randint(1, max_n), rng=rng, lo=lo, full_rank=full_rank)
         for _ in range(count)
     )
-    params = (("count", count), ("max_n", max_n), ("lo", lo), ("full_rank", full_rank))
-    return Corpus(seed=seed, kind="idempotent", parameters=params, instances=instances)
+    return Corpus(instances)
 
 
 def regular_corpus(seed: int, count: int, max_n=4, lo=-3, hi=3) -> Corpus:
@@ -156,15 +151,20 @@ def regular_corpus(seed: int, count: int, max_n=4, lo=-3, hi=3) -> Corpus:
                 found = candidate
                 break
         instances.append(found if found is not None else random_idempotent(n, rng=rng, lo=lo))
-    params = (("count", count), ("max_n", max_n), ("lo", lo), ("hi", hi))
-    return Corpus(seed=seed, kind="regular", parameters=params, instances=tuple(instances))
+    return Corpus(tuple(instances))
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
 
-def tropical_rank_oracle(a: Matrix, limit: int = 5) -> int:
+# largest square submatrix whose permutations the rank oracle enumerates
+_RANK_ORACLE_LIMIT = 5
+# random draws full_dimension_polytope makes before giving up
+_FULL_DIMENSION_ATTEMPTS = 500
+
+
+def tropical_rank_oracle(a: Matrix) -> int:
     """Largest r with an r x r submatrix whose optimal permutation is unique.
 
     The optimum is the maximal tropical permutation sum; uniqueness is
@@ -174,8 +174,10 @@ def tropical_rank_oracle(a: Matrix, limit: int = 5) -> int:
     if not a.is_finite:
         raise NonFiniteEntries("the rank oracle works on finite matrices")
     top = min(a.rows, a.cols)
-    if top > limit:
-        raise ScaleLimitExceeded(f"rank oracle enumerates permutations only up to size {limit}")
+    if top > _RANK_ORACLE_LIMIT:
+        raise ScaleLimitExceeded(
+            f"rank oracle enumerates permutations only up to size {_RANK_ORACLE_LIMIT}"
+        )
     for r in range(top, 0, -1):
         for rows in itertools.combinations(range(a.rows), r):
             for cols in itertools.combinations(range(a.cols), r):
@@ -237,13 +239,13 @@ def suite_projectivity_geometry(seed=0, count=200, n=4, m=4) -> dict:
     return {"suite": "projectivity-geometry", "instances": len(corpus.instances), "failures": failures}
 
 
-def full_dimension_polytope(rng, n: int, lo=-5, hi=5, attempts=500) -> Polytope:
+def full_dimension_polytope(rng, n: int, lo=-5, hi=5) -> Polytope:
     """A polytope in FT^n with generator and dual dimension both n."""
-    for _ in range(attempts):
+    for _ in range(_FULL_DIMENSION_ATTEMPTS):
         p = random_polytope(n, n, rng=rng, lo=lo, hi=hi)
         if p.generator_dimension() == n and p.dual_dimension() == n:
             return p
-    raise AssertionError(f"no full-dimension polytope found in {attempts} draws")
+    raise AssertionError(f"no full-dimension polytope found in {_FULL_DIMENSION_ATTEMPTS} draws")
 
 
 def suite_projectivity_order(seed=0, count=200, n=4, m=None, refute_samples=200) -> dict:

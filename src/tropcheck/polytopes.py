@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, EmptyPolytope, NonFiniteEntries
-from .semiring import Matrix, as_vector
+from .semiring import Matrix, _combine, _principal, as_vector
 
 
 def canonical_point(values) -> tuple:
@@ -26,15 +26,6 @@ def canonical_point(values) -> tuple:
     if top == 0:
         return v
     return tuple(e - top for e in v)
-
-
-def _principal(x, gens):
-    # greatest lam with lam_t + g_t <= x for each t
-    return tuple(min(xp - gp for xp, gp in zip(x, g)) for g in gens)
-
-
-def _combine(lams, gens, n):
-    return tuple(max(lams[t] + gens[t][p] for t in range(len(gens))) for p in range(n))
 
 
 def _member(x, gens) -> bool:

@@ -7,10 +7,20 @@ multiplicative identity.  Everything here is exact: floats are rejected on
 input, because the decisions taken downstream (idempotency, covector
 cells, convexity) hinge on exact ties.
 
+`BOTTOM` carries its own arithmetic: it is the least element under every
+comparison, it absorbs +, and subtracting it from anything raises
+`NonFiniteEntries`.  So `max`, `min`, + and - over entries need no case
+for -inf, and the kernels below are written once for finite and infinite
+data alike.
+
 Vectors are plain tuples of entries; matrices are immutable `Matrix`
 instances.  A vector or matrix is *finite* when it contains no BOTTOM;
 operations whose contract needs finite input raise `NonFiniteEntries`
 instead of silently propagating -inf.
+
+`_combine` is the one max-plus product loop and `_principal` the one
+residual loop: `Matrix.mul` and `left_residual` apply them row by row and
+column by column, and membership in a polytope composes the two.
 """
 
 from __future__ import annotations
@@ -45,6 +55,19 @@ class _Bottom:
         return hash("-inf")
 
     def __neg__(self):
+        raise NonFiniteEntries("-inf has no additive inverse")
+
+    def __add__(self, other):
+        return self
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other is BOTTOM:
+            raise NonFiniteEntries("-inf minus -inf is undefined")
+        return self
+
+    def __rsub__(self, other):
         raise NonFiniteEntries("-inf has no additive inverse")
 
     def __repr__(self):
@@ -89,20 +112,12 @@ def as_entry(value):
 
 def tadd(a, b):
     """Tropical sum: max(a, b), with BOTTOM the neutral element."""
-    a, b = as_entry(a), as_entry(b)
-    if a is BOTTOM:
-        return b
-    if b is BOTTOM:
-        return a
-    return a if a >= b else b
+    return max(as_entry(a), as_entry(b))
 
 
 def tmul(a, b):
     """Tropical product: a + b, with BOTTOM absorbing."""
-    a, b = as_entry(a), as_entry(b)
-    if a is BOTTOM or b is BOTTOM:
-        return BOTTOM
-    return a + b
+    return as_entry(a) + as_entry(b)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +144,7 @@ def vec_max(x, y):
     """Componentwise tropical sum (join)."""
     x, y = as_vector(x), as_vector(y)
     _check_pair(x, y)
-    return tuple(b if a is BOTTOM else (a if b is BOTTOM or a >= b else b) for a, b in zip(x, y))
+    return tuple(max(a, b) for a, b in zip(x, y))
 
 
 def vec_min(x, y):
@@ -151,11 +166,20 @@ def vec_scale(lam, x):
     lam = as_entry(lam)
     if lam is BOTTOM:
         raise NonFiniteEntries("scaling requires a finite scalar")
-    return tuple(BOTTOM if e is BOTTOM else lam + e for e in as_vector(x))
+    return tuple(lam + e for e in as_vector(x))
 
 
-def vec_is_finite(x) -> bool:
-    return all(e is not BOTTOM for e in x)
+def _principal(x, gens):
+    """Greatest lam with lam_t + g_t <= x for each t: lam_t = min_p (x_p - g_t[p]).
+
+    The generators must be finite; BOTTOM entries of x propagate.
+    """
+    return tuple(min(xp - gp for xp, gp in zip(x, g)) for g in gens)
+
+
+def _combine(lams, gens, n):
+    """The max-plus combination max_t (lams[t] + gens[t]) of n-vectors."""
+    return tuple(max(lams[t] + gens[t][p] for t in range(len(gens))) for p in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +240,6 @@ class Matrix:
     def col(self, j: int):
         return tuple(row[j] for row in self.entries)
 
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
-
     def transpose(self) -> "Matrix":
         return Matrix._raw(tuple(zip(*self.entries)))
 
@@ -227,34 +248,9 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for arow in self.entries:
-            orow = []
-            for j in range(other.cols):
-                best = BOTTOM
-                for k in range(self.cols):
-                    a = arow[k]
-                    b = other.entries[k][j]
-                    if a is BOTTOM or b is BOTTOM:
-                        continue
-                    s = a + b
-                    if best is BOTTOM or s > best:
-                        best = s
-                orow.append(best)
-            out.append(tuple(orow))
-        return Matrix._raw(tuple(out))
+        return Matrix._raw(tuple(_combine(row, other.entries, other.cols) for row in self.entries))
 
     __matmul__ = mul
-
-    def power(self, k: int) -> "Matrix":
-        if not self.is_square:
-            raise NotSquare("powers need a square matrix")
-        if k < 1:
-            raise ValueError("only positive powers are defined")
-        acc = self
-        for _ in range(k - 1):
-            acc = acc.mul(self)
-        return acc
 
     def apply(self, x):
         """Act on a column vector: (A x)[i] = max_k (A[i][k] + x[k])."""
@@ -303,22 +299,9 @@ def left_residual(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch("left residual needs matching row counts")
     if not a.is_finite:
         raise NonFiniteEntries("the left factor of a residual must be finite")
-    out = []
-    for i in range(a.cols):
-        row = []
-        for j in range(b.cols):
-            best = None
-            for k in range(a.rows):
-                bkj = b.entries[k][j]
-                if bkj is BOTTOM:
-                    best = BOTTOM
-                    break
-                d = bkj - a.entries[k][i]
-                if best is None or d < best:
-                    best = d
-            row.append(best)
-        out.append(tuple(row))
-    return Matrix._raw(tuple(out))
+    # column j of the result is the principal solution of column j of b
+    columns = a.transpose().entries
+    return Matrix._raw(tuple(_principal(x, columns) for x in b.transpose().entries)).transpose()
 
 
 def right_residual(b: Matrix, a: Matrix) -> Matrix:

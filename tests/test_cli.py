@@ -260,6 +260,94 @@ def test_text_format_mirrors_fields(tmp_path, golden_doc, capsys):
     assert "tropical: 3" in text
 
 
+POLYTOPE_TEXT = """\
+ambient: 2
+gendim: 2
+dualdim: 2
+tropical_dim: 2
+pure: true
+min_plus_convex: true
+projective: true
+reason: projective
+idempotent:
+  rows: 2
+  cols: 2
+  entries:
+    - [0, -2]
+    - [-1, 0]
+"""
+
+FACES_TEXT = """\
+-
+  type:
+    - []
+    - [0, 1]
+  witness: [0, -4097/4096]
+  dim: 2
+  covering: false
+-
+  type:
+    - [0, 1]
+    - []
+  witness: [-8193/4096, 0]
+  dim: 2
+  covering: false
+-
+  type:
+    - [0, 1]
+    - [0]
+  witness: [-2, 0]
+  dim: 1
+  covering: true
+-
+  type:
+    - [1]
+    - [0]
+  witness: [0, 0]
+  dim: 2
+  covering: true
+-
+  type:
+    - [1]
+    - [0, 1]
+  witness: [0, -1]
+  dim: 1
+  covering: true
+"""
+
+ORACLE_TEXT = """\
+suite: top-cell
+instances: 3
+failures: []
+"""
+
+
+def test_text_format_is_pinned(tmp_path, capsys):
+    # nested dicts (polytope), lists of dicts holding empty lists (faces)
+    # and an empty top-level list (oracle failures)
+    doc = write_doc(tmp_path, "p.json", {"ambient": 2, "generators": [[0, -1], [-2, 0]]})
+    for argv, expected in (
+        (["polytope", "--input", doc], POLYTOPE_TEXT),
+        (["faces", "--input", doc], FACES_TEXT),
+        (["oracle", "top-cell", "--count", "3", "--format", "text"], ORACLE_TEXT),
+    ):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_internal_check_failure_exits_five(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("cell witness failed to realise its own profile")
+
+    monkeypatch.setattr("tropcheck.cli.cell_complex", broken)
+    doc = write_doc(tmp_path, "p.json", {"ambient": 2, "generators": [[0, -1], [-2, 0]]})
+    assert main(["polytope", "--input", doc]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tropcheck: internal check failed: cell witness failed")
+    assert "input document" in captured.err
+
+
 def test_module_entry_point(tmp_path, golden_doc):
     proc = subprocess.run(
         [sys.executable, "-m", "tropcheck.cli", "analyze", "--input", golden_doc, "--format", "json"],

@@ -70,6 +70,18 @@ def test_bottom_is_neutral_and_absorbing(a):
     assert tmul(BOTTOM, a) is BOTTOM
 
 
+@given(finite)
+def test_bottom_scalar_arithmetic(x):
+    assert BOTTOM + x is BOTTOM
+    assert x + BOTTOM is BOTTOM
+    assert BOTTOM + BOTTOM is BOTTOM
+    assert BOTTOM - x is BOTTOM
+    with pytest.raises(NonFiniteEntries):
+        x - BOTTOM
+    with pytest.raises(NonFiniteEntries):
+        BOTTOM - BOTTOM
+
+
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         as_entry(0.5)
@@ -279,6 +291,17 @@ def test_actions_match_entrywise_formulas(data, r, c):
     assert a.left_apply(y) == tuple(
         _ref_max(_ref_add(y[k], a.entries[k][j]) for k in range(r)) for j in range(c)
     )
+
+
+@given(st.data(), dims, dims, dims)
+def test_product_matches_entrywise_formula(data, r, k, c):
+    a = data.draw(_matrix(r, k, entries))
+    b = data.draw(_matrix(k, c, entries))
+    expected = [
+        [_ref_max(_ref_add(a.entries[i][t], b.entries[t][j]) for t in range(k)) for j in range(c)]
+        for i in range(r)
+    ]
+    assert a.mul(b) == Matrix(expected)
 
 
 @given(st.data(), dims, dims)
