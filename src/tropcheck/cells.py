@@ -20,6 +20,15 @@ negative-cycle detection with lexicographic (value, strict-count) weights.
 A depth-first search over profiles prunes infeasible prefixes, which cuts
 the nominal (2^n - 1)^m candidate grid down to the realizable cells while
 visiting exactly the same feasible set.
+
+The search runs on exact Python ints, the generators scaled to a common
+denominator.  Every constraint of one argmin set touches its lowest
+member r, so the set enters the shortest-path closure in one star step at
+r: the best bounds out of r and into r, a negative-cycle test on the
+first, then one O(n^2) pass.  Each cell's witness is decoded from its
+closure as integer numerators over the common scale 4 * _UNIT * denom,
+re-checked against its own profile in ints, and becomes a tuple of
+Fractions only on the Face.
 """
 
 from __future__ import annotations
@@ -110,29 +119,38 @@ def covector_dimension(cov) -> int:
 
 
 def _scaled(gens):
+    """The generators as ints over their common denominator; the same ints
+    lifted to the witness scale 4 * _UNIT * denom; and that scale."""
     denom = 1
     for g in gens:
         for e in g:
             denom = lcm(denom, e.denominator)
     scaled = [[e.numerator * (denom // e.denominator) for e in g] for g in gens]
-    return scaled, denom
+    return scaled, [[4 * _UNIT * v for v in g] for g in scaled], 4 * _UNIT * denom
 
 
-def _edges_for(vi, members, n):
-    # constraint x_u - x_w <= c becomes edge (w, u, c); strict edges pay one
-    # strictness unit.  Equalities inside the argmin set are chained through
-    # the lowest member; one strict edge per outside coordinate suffices.
-    ordered = sorted(members)
-    rep = ordered[0]
-    edges = []
-    for b in ordered[1:]:
-        c = (vi[rep] - vi[b]) * _UNIT
-        edges.append((b, rep, c))
-        edges.append((rep, b, -c))
+def _star(vi, members, n):
+    """The constraints of one argmin set, all at its lowest member r.
+
+    A bound x_b - x_a <= c is an edge a -> b of cost c; strict edges pay
+    one strictness unit.  Equalities inside the argmin set become the pair
+    b -> r, r -> b and every outside coordinate q a strict edge q -> r, so
+    each edge touches r.  Returns (r, ins, outs) with ins the edges
+    (w, c) into r and outs the edges (u, c) out of r.
+    """
+    rep = min(members)
+    ins = []
+    outs = []
     for q in range(n):
-        if q not in members:
-            edges.append((q, rep, (vi[rep] - vi[q]) * _UNIT - 1))
-    return edges
+        if q == rep:
+            continue
+        c = (vi[rep] - vi[q]) * _UNIT
+        if q in members:
+            ins.append((q, c))
+            outs.append((q, -c))
+        else:
+            ins.append((q, c - 1))
+    return rep, ins, outs
 
 
 def _fresh(n):
@@ -142,55 +160,73 @@ def _fresh(n):
     return dist
 
 
-def _insert_edges(dist, n, edges):
-    """Add difference constraints to a closed bound matrix.
+def _insert_star(dist, n, star):
+    """Add one argmin set's constraints to a closed bound matrix.
 
-    Returns the updated closure, the same list when nothing tightened, or
-    None as soon as a negative cycle (strictly infeasible system) appears.
+    Every new edge touches r, so a new shortest path s -> t runs through r
+    once: its cost is into[s] + out[t], the best ways into and out of r
+    that end or start with at most one new edge.  A negative cycle also
+    runs through r, so it shows in out alone: as out[r] < 0, or as
+    out[w] + c < 0 for an edge (w, c) into r.  Entries >= _INF are no
+    bound.  Returns the updated closure, the same list when nothing
+    tightened, or None when the system became infeasible.
     """
-    cur = dist
-    owned = False
-    for w, u, c in edges:
-        if c >= cur[w * n + u]:
+    rep, ins, outs = star
+    out = dist[rep * n:(rep + 1) * n]
+    tight = False
+    for u, c in outs:
+        if c >= out[u]:
             continue
-        if not owned:
-            cur = cur[:]
-            owned = True
-        urow = u * n
-        for s in range(n):
-            dsw = cur[s * n + w]
-            if dsw >= _INF:
-                continue
-            head = dsw + c
-            base = s * n
-            for t in range(n):
-                dut = cur[urow + t]
-                if dut >= _INF:
-                    continue
-                cand = head + dut
-                if cand < cur[base + t]:
-                    if s == t and cand < 0:
-                        return None
-                    cur[base + t] = cand
+        tight = True
+        for t, d in enumerate(dist[u * n:(u + 1) * n]):
+            if d < _INF and c + d < out[t]:
+                out[t] = c + d
+    if out[rep] < 0:
+        return None
+    for w, c in ins:
+        if out[w] < _INF and out[w] + c < 0:
+            return None
+    into = dist[rep::n]
+    for w, c in ins:
+        if c >= into[w]:
+            continue
+        tight = True
+        for s, d in enumerate(dist[w::n]):
+            if d < _INF and d + c < into[s]:
+                into[s] = d + c
+    if not tight:
+        return dist
+    heads = [(t, b) for t, b in enumerate(out) if b < _INF]
+    cur = dist[:]
+    for s, a in enumerate(into):
+        if a >= _INF:
+            continue
+        base = s * n
+        for t, b in heads:
+            if a + b < cur[base + t]:
+                cur[base + t] = a + b
     return cur
 
 
-def _decode_witness(dist, n, denom):
-    # Potentials from the closure satisfy every non-strict bound; strict
-    # bounds are realised by an epsilon small enough that one scaled unit
-    # of slack always dominates the strictness correction.
-    eps = Fraction(1, 4 * _UNIT * denom)
-    out = []
+def _witness(dist, n, lifted, scale, profile):
+    """Decode a closure into a point realising `profile`, or None if it
+    does not (a defect the callers report).
+
+    Potentials from the closure satisfy every non-strict bound; strict
+    bounds are realised by an epsilon of 1 / scale, small enough that one
+    scaled unit of slack always dominates the strictness correction.  The
+    point is built as integer numerators over scale = 4 * _UNIT * denom and
+    checked against the generators lifted to the same scale; multiplying
+    both by a positive constant leaves every argmin set unchanged.
+    """
+    nums = []
     for a in range(n):
-        best = 0
-        for w in range(n):
-            v = dist[w * n + a]
-            if v < best:
-                best = v
+        best = min(dist[a::n])
         c = -((-best) // _UNIT)
-        s = c * _UNIT - best
-        out.append(Fraction(c, denom) - s * eps)
-    return tuple(out)
+        nums.append(4 * _UNIT * c - (c * _UNIT - best))
+    if _argmin_profile(nums, lifted) != profile:
+        return None
+    return tuple(Fraction(v, scale) for v in nums)
 
 
 def realize_profile(profile, polytope: Polytope):
@@ -209,14 +245,14 @@ def realize_profile(profile, polytope: Polytope):
             raise ValueError("profile components must be non-empty")
         if any(not 0 <= q < n for q in a):
             raise ValueError("profile coordinate out of range")
-    scaled, denom = _scaled(gens)
+    scaled, lifted, scale = _scaled(gens)
     dist = _fresh(n)
     for vi, a in zip(scaled, sets):
-        dist = _insert_edges(dist, n, _edges_for(vi, a, n))
+        dist = _insert_star(dist, n, _star(vi, a, n))
         if dist is None:
             return None
-    witness = _decode_witness(dist, n, denom)
-    if _argmin_profile(witness, gens) != sets:
+    witness = _witness(dist, n, lifted, scale, sets)
+    if witness is None:
         raise AssertionError("witness failed to realise its own profile")
     return witness
 
@@ -274,17 +310,17 @@ def _compute_complex(polytope: Polytope) -> CellComplex:
     gens = polytope.extremals().generators
     n = polytope.ambient
     m = len(gens)
-    scaled, denom = _scaled(gens)
+    scaled, lifted, scale = _scaled(gens)
     masks = [frozenset(q for q in range(n) if mask >> q & 1) for mask in range(1 << n)]
-    table = [[_edges_for(scaled[i], masks[mask], n) for mask in range(1, 1 << n)] for i in range(m)]
+    table = [[_star(scaled[i], masks[mask], n) for mask in range(1, 1 << n)] for i in range(m)]
     found = []
 
     def walk(i, dist, acc):
         if i == m:
             found.append((acc, dist))
             return
-        for k, edges in enumerate(table[i]):
-            nxt = _insert_edges(dist, n, edges)
+        for k, star in enumerate(table[i]):
+            nxt = _insert_star(dist, n, star)
             if nxt is not None:
                 walk(i + 1, nxt, acc + (k + 1,))
 
@@ -294,8 +330,8 @@ def _compute_complex(polytope: Polytope) -> CellComplex:
     for acc, dist in found:
         profile = tuple(masks[mask] for mask in acc)
         cov = _profile_covector(profile, n)
-        witness = _decode_witness(dist, n, denom)
-        if _argmin_profile(witness, gens) != profile:
+        witness = _witness(dist, n, lifted, scale, profile)
+        if witness is None:
             raise AssertionError("cell witness failed to realise its own profile")
         faces.append(
             Face(

@@ -2,9 +2,12 @@
 
 Subcommands: analyze | polytope | faces | plot | oracle.  Exit codes are
 operational only: 0 whatever the mathematical verdicts, 2 for malformed
-input, 3 for an operation the input shape does not support, 4 when an
-enumeration bound is exceeded, 5 when an internal consistency check fails
-(a defect in tropcheck; the message asks for the input document).
+input or arguments (including an --input path that cannot be read, an
+--output path that cannot be written, input that is not UTF-8, JSON nested
+too deeply to parse and a non-positive --max-tuples), 3 for an operation
+the input shape does not support, 4 when an enumeration bound is exceeded,
+5 when an internal consistency check fails (a defect in tropcheck; the
+message asks for the input document).
 Verdicts live in the payload; --format picks JSON or a line-per-field text
 rendering of the same data.
 """
@@ -49,26 +52,42 @@ EXIT_SCALE = 4
 EXIT_INTERNAL = 5
 
 
+class _UnusablePath(Exception):
+    """An --input path that cannot be read or an --output path that cannot be written."""
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise _UnusablePath(f"cannot read --input: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UnusablePath(f"cannot write --output: {exc}") from None
 
 
 def _load_json(path: str):
     try:
-        return json.loads(_read_text(path))
+        text = _read_text(path)
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"input is not UTF-8 text: {exc}") from None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedDocument("invalid JSON: nested too deeply") from None
 
 
 def _is_scalar_list(value) -> bool:
@@ -233,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_max_tuples:
             p.add_argument(
                 "--max-tuples",
-                type=int,
+                type=_positive_int,
                 default=DEFAULT_MAX_TUPLES,
                 help="bound on enumerated argmin profiles",
             )
@@ -279,6 +298,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except MalformedDocument as exc:
         print(f"tropcheck: malformed input: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
+    except _UnusablePath as exc:
+        print(f"tropcheck: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except ScaleLimitExceeded as exc:
         print(f"tropcheck: scale limit exceeded: {exc}", file=sys.stderr)

@@ -119,6 +119,33 @@ def test_analyze_malformed_input(tmp_path):
     assert main(["analyze", "--input", missing]) == 2
 
 
+def test_unusable_paths_exit_two(tmp_path, capsys):
+    doc = write_doc(tmp_path, "p.json", {"ambient": 2, "generators": [[0, -1]]})
+    for argv, what in (
+        (["polytope", "--input", str(tmp_path / "missing.json")], "cannot read --input"),
+        (["polytope", "--input", str(tmp_path)], "cannot read --input"),
+        (["polytope", "--input", doc, "--output", str(tmp_path / "no" / "x")], "cannot write --output"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"tropcheck: {what}: ")
+        assert err.count("\n") == 1
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert main(["polytope", "--input", str(deep)]) == 2
+    assert capsys.readouterr().err == "tropcheck: malformed input: invalid JSON: nested too deeply\n"
+
+
+def test_non_utf8_input_exits_two(tmp_path, capsys):
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe{}")
+    assert main(["polytope", "--input", str(raw)]) == 2
+    assert capsys.readouterr().err.startswith("tropcheck: malformed input: input is not UTF-8 text: ")
+
+
 # -- polytope
 
 
@@ -162,6 +189,14 @@ def test_plane_polytopes_are_projective(tmp_path):
 def test_polytope_scale_limit(tmp_path):
     doc = write_doc(tmp_path, "p.json", polytope_to_document(random_polytope(3, 3, seed=61)))
     assert main(["polytope", "--input", doc, "--max-tuples", "5"]) == 4
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_non_positive_max_tuples_exits_two(tmp_path, bound):
+    doc = write_doc(tmp_path, "p.json", polytope_to_document(random_polytope(3, 3, seed=61)))
+    with pytest.raises(SystemExit) as err:
+        main(["polytope", "--input", doc, "--max-tuples", bound])
+    assert err.value.code == 2
 
 
 def test_cli_verdicts_match_library(tmp_path):
