@@ -22,13 +22,23 @@ the nominal (2^n - 1)^m candidate grid down to the realizable cells while
 visiting exactly the same feasible set.
 
 The search runs on exact Python ints, the generators scaled to a common
-denominator.  Every constraint of one argmin set touches its lowest
-member r, so the set enters the shortest-path closure in one star step at
-r: the best bounds out of r and into r, a negative-cycle test on the
-first, then one O(n^2) pass.  Each cell's witness is decoded from its
-closure as integer numerators over the common scale 4 * _UNIT * denom,
-re-checked against its own profile in ints, and becomes a tuple of
-Fractions only on the Face.
+denominator, with argmin sets as bitmasks over the coordinates.  At a node
+with closure dist, the masks generator i can take are read off in closed
+form.  Shift the closure into the coordinates y_a = x_a - v_a of the
+scaled generator v: D[u][q] = dist[u][q] + (v_u - v_q) * _UNIT bounds
+y_q - y_u.  Call u dead when some D[u][q] < 0 and let
+need[u] = {q : D[u][q] <= 0}.  Then S is feasible iff no member of S is
+dead and need[u] lies inside S for every u in S.  Proof: every new constraint touches the lowest member
+r of S, so a new negative cycle runs r -> u in S (free), then a closed path
+u -> q (cost D[u][q]), then q -> r (free when q is in S, one strictness
+unit when it is not).  One pass over the subsets of the live coordinates
+lists the feasible masks.  Each of them enters the closure in one star
+step at r: the best bounds out of r and into r, then one O(n^2) pass.
+Covectors, dimensions and covering flags come from the masks; each
+cell's witness is decoded from its closure as integer numerators over the
+common scale 4 * _UNIT * denom, its argmin masks are recomputed in ints
+and compared with the cell's own, and it becomes a tuple of Fractions only
+on the Face.
 """
 
 from __future__ import annotations
@@ -208,9 +218,51 @@ def _insert_star(dist, n, star):
     return cur
 
 
-def _witness(dist, n, lifted, scale, profile):
-    """Decode a closure into a point realising `profile`, or None if it
-    does not (a defect the callers report).
+def _feasible_masks(dist, n, units):
+    """Every argmin mask a generator can take on top of a closed bound
+    matrix, in increasing order, by the closed-form rule of the module
+    docstring: no member of S is dead and need[u] lies inside S for each
+    u in S, with D[u][q] = dist[u][q] + units[u] - units[q].
+
+    `units` is the generator scaled by _UNIT.  Entries >= _INF are no
+    bound.  A mask holding a dead coordinate is never feasible, so only
+    the submasks of the live ones are tried.
+    """
+    need = [0] * n
+    dead = 0
+    for u in range(n):
+        row = dist[u * n:(u + 1) * n]
+        base = units[u]
+        bits = 0
+        for q in range(n):
+            d = row[q]
+            if d < _INF:
+                d += base - units[q]
+                if d <= 0:
+                    if d < 0:
+                        dead |= 1 << u
+                        break
+                    bits |= 1 << q
+        need[u] = bits
+    # hull[mask] is the union of need over the members of mask; the live
+    # submasks come in increasing order, so mask ^ low is always done
+    live = ((1 << n) - 1) & ~dead
+    hull = [0] * (1 << n)
+    found = []
+    mask = (-live) & live
+    while mask:
+        low = mask & -mask
+        hull[mask] = hull[mask ^ low] | need[low.bit_length() - 1]
+        if hull[mask] == mask:
+            found.append(mask)
+        mask = (mask - live) & live
+    return found
+
+
+def _witness(dist, n, lifted, scale, masks):
+    """Decode a closure into the integer numerators, over `scale`, of a
+    point whose argmin bitmasks are exactly `masks`, or None if they are
+    not (a defect the callers report).
 
     Potentials from the closure satisfy every non-strict bound; strict
     bounds are realised by an epsilon of 1 / scale, small enough that one
@@ -224,9 +276,16 @@ def _witness(dist, n, lifted, scale, profile):
         best = min(dist[a::n])
         c = -((-best) // _UNIT)
         nums.append(4 * _UNIT * c - (c * _UNIT - best))
-    if _argmin_profile(nums, lifted) != profile:
-        return None
-    return tuple(Fraction(v, scale) for v in nums)
+    for g, want in zip(lifted, masks):
+        diffs = [x - y for x, y in zip(nums, g)]
+        low = min(diffs)
+        bits = 0
+        for q, d in enumerate(diffs):
+            if d == low:
+                bits |= 1 << q
+        if bits != want:
+            return None
+    return nums
 
 
 def realize_profile(profile, polytope: Polytope):
@@ -251,10 +310,10 @@ def realize_profile(profile, polytope: Polytope):
         dist = _insert_star(dist, n, _star(vi, a, n))
         if dist is None:
             return None
-    witness = _witness(dist, n, lifted, scale, sets)
-    if witness is None:
+    nums = _witness(dist, n, lifted, scale, tuple(sum(1 << q for q in a) for a in sets))
+    if nums is None:
         raise AssertionError("witness failed to realise its own profile")
-    return witness
+    return tuple(Fraction(v, scale) for v in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -306,41 +365,77 @@ def cell_complex(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES) -> Ce
     return polytope._complex
 
 
+def _mask_dimension(masks, n):
+    """covector_dimension on argmin bitmasks: coordinates p and q share a
+    generator exactly when some mask holds both, so the components are the
+    overlapping masks merged, plus one per coordinate no mask holds."""
+    parts = []
+    union = 0
+    for a in masks:
+        union |= a
+        rest = []
+        for b in parts:
+            if a & b:
+                a |= b
+            else:
+                rest.append(b)
+        rest.append(a)
+        parts = rest
+    return len(parts) + n - union.bit_count()
+
+
 def _compute_complex(polytope: Polytope) -> CellComplex:
     gens = polytope.extremals().generators
     n = polytope.ambient
     m = len(gens)
+    full = (1 << n) - 1
     scaled, lifted, scale = _scaled(gens)
-    masks = [frozenset(q for q in range(n) if mask >> q & 1) for mask in range(1 << n)]
-    table = [[_star(scaled[i], masks[mask], n) for mask in range(1, 1 << n)] for i in range(m)]
-    found = []
+    units = [[_UNIT * v for v in vi] for vi in scaled]
+    sets = [frozenset(q for q in range(n) if mask >> q & 1) for mask in range(1 << n)]
+    table = [[None] + [_star(vi, sets[mask], n) for mask in range(1, 1 << n)] for vi in scaled]
+    members = [frozenset(i for i in range(m) if bits >> i & 1) for bits in range(1 << m)]
+    values = {}  # witness numerator -> Fraction; coordinates repeat across cells
+    faces = []
+
+    def add(acc, dist):
+        nums = _witness(dist, n, lifted, scale, acc)
+        if nums is None:
+            raise AssertionError("cell witness failed to realise its own profile")
+        cov = [0] * n
+        union = 0
+        for i, a in enumerate(acc):
+            union |= a
+            while a:
+                low = a & -a
+                cov[low.bit_length() - 1] |= 1 << i
+                a ^= low
+        witness = []
+        for v in nums:
+            x = values.get(v)
+            if x is None:
+                x = values[v] = Fraction(v, scale)
+            witness.append(x)
+        faces.append(
+            Face(
+                covector=tuple(members[bits] for bits in cov),
+                witness=tuple(witness),
+                dim=_mask_dimension(acc, n),
+                covering=union == full,
+            )
+        )
 
     def walk(i, dist, acc):
-        if i == m:
-            found.append((acc, dist))
-            return
-        for k, star in enumerate(table[i]):
-            nxt = _insert_star(dist, n, star)
-            if nxt is not None:
-                walk(i + 1, nxt, acc + (k + 1,))
+        for mask in _feasible_masks(dist, n, units[i]):
+            nxt = _insert_star(dist, n, table[i][mask])
+            if nxt is None:
+                raise AssertionError("a feasible argmin mask made the cell system infeasible")
+            if i + 1 == m:
+                add(acc + (mask,), nxt)
+            else:
+                walk(i + 1, nxt, acc + (mask,))
 
     walk(0, _fresh(n), ())
 
-    faces = []
-    for acc, dist in found:
-        profile = tuple(masks[mask] for mask in acc)
-        cov = _profile_covector(profile, n)
-        witness = _witness(dist, n, lifted, scale, profile)
-        if witness is None:
-            raise AssertionError("cell witness failed to realise its own profile")
-        faces.append(
-            Face(
-                covector=cov,
-                witness=witness,
-                dim=covector_dimension(cov),
-                covering=all(cov),
-            )
-        )
     faces.sort(key=_face_key)
     covering = [f for f in faces if f.covering]
     if not covering:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from tropcheck import (
     row_space,
     tropical_dimension,
 )
-from tropcheck.cells import _INF, _UNIT, _fresh, _insert_star, _scaled, _star
+from tropcheck.cells import _INF, _UNIT, _feasible_masks, _fresh, _insert_star, _scaled, _star
 from tropcheck.oracles import random_idempotent, random_matrix, random_point, random_polytope
 from tropcheck.polytopes import canonical_point
 
@@ -196,6 +197,40 @@ def test_star_insertion_matches_edge_by_edge(p, point, steps):
             break
 
 
+# -- closed-form argmin masks against probing every mask
+
+
+def _ref_feasible_masks(dist, n, vi):
+    # the probing loop the closed form replaced: one star insertion per mask
+    return [
+        mask
+        for mask in range(1, 1 << n)
+        if _insert_star(dist, n, _star(vi, frozenset(q for q in range(n) if mask >> q & 1), n)) is not None
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        _polytopes(5, 4, st.integers(-20, 20), (1, 2, 3, 7)),
+        _polytopes(5, 4, st.integers(-2, 2), (1, 2, 3, 7)),
+    ),
+    st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
+)
+def test_closed_form_masks_match_probing(p, picks):
+    # walk one random feasible DFS prefix, comparing the mask lists at
+    # every node on the way
+    n = p.ambient
+    scaled = _scaled(p.extremals().generators)[0]
+    dist = _fresh(n)
+    for vi, pick in zip(scaled, picks):
+        masks = _feasible_masks(dist, n, [_UNIT * v for v in vi])
+        assert masks == _ref_feasible_masks(dist, n, vi)
+        mask = masks[pick % len(masks)]
+        dist = _insert_star(dist, n, _star(vi, frozenset(q for q in range(n) if mask >> q & 1), n))
+        assert dist is not None
+
+
 # -- the cell complex
 
 
@@ -234,6 +269,42 @@ def test_every_witness_realises_its_covector():
             assert covector(face.witness, p) == face.covector
             assert face.dim == covector_dimension(face.covector)
             assert face.covering == all(face.covector)
+
+
+def test_face_bookkeeping_matches_the_covector_route():
+    # dims, covectors and witnesses come from argmin bitmasks; recompute
+    # them from the witness point on every face, up to n = 5
+    rng = random.Random(30)
+    for k in range(24):
+        lo, hi = (-2, 2) if k % 2 else (-20, 20)
+        p = random_polytope(rng.randint(1, 5), rng.randint(1, 4), rng=rng, lo=lo, hi=hi, max_den=1 + k % 7)
+        for face in cell_complex(p).faces:
+            assert covector(face.witness, p) == face.covector
+            assert face.dim == covector_dimension(face.covector)
+            assert face.covering == all(face.covector)
+
+
+# sha256 over repr(cell_complex(p)) of _pinned_polytopes(), as first computed
+# by the probing enumeration: faster enumerations must not move a byte
+PINNED_COMPLEXES = "be4d4cb2b08f8b2c0186a058bd917a3df1ff78c5afda2d60896d278a24e0eaae"
+
+
+def _pinned_polytopes():
+    rng = random.Random(20261018)
+    for k in range(60):
+        n, m = rng.randint(1, 5), rng.randint(1, 4)
+        lo, hi = (-2, 2) if k % 3 == 0 else (-20, 20)
+        dens = (1,) if k % 4 == 0 else (1, 2, 3, 5, 7)
+        yield Polytope(
+            [tuple(Fraction(rng.randint(lo, hi), rng.choice(dens)) for _ in range(n)) for _ in range(m)]
+        )
+
+
+def test_complex_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for p in _pinned_polytopes():
+        digest.update(repr(cell_complex(p)).encode())
+    assert digest.hexdigest() == PINNED_COMPLEXES
 
 
 def test_grid_profiles_are_all_enumerated():

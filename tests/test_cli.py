@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from tropcheck import BOTTOM, Matrix, column_space, is_projective, row_space
-from tropcheck.cli import main
+from tropcheck.cli import SUITE_NAMES, main
 from tropcheck.documents import (
     MalformedDocument,
     matrix_from_document,
@@ -14,7 +14,7 @@ from tropcheck.documents import (
     polytope_from_document,
     polytope_to_document,
 )
-from tropcheck.oracles import random_polytope
+from tropcheck.oracles import SUITES, random_polytope
 
 
 def write_doc(tmp_path, name, payload):
@@ -281,6 +281,20 @@ def test_oracle_rejects_non_positive_sizes(flags):
     with pytest.raises(SystemExit) as err:
         main(["oracle", "top-cell", *flags])
     assert err.value.code == 2
+
+
+def test_suite_names_match_the_oracles():
+    assert SUITE_NAMES == tuple(sorted(SUITES))
+
+
+def test_importing_the_cli_leaves_the_oracles_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tropcheck.cli; print('tropcheck.oracles' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # -- text rendering and the installed entry point
