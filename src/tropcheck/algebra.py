@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import DEFAULT_MAX_TUPLES, tropical_dimension
+from .cells import DEFAULT_MAX_TUPLES, cell_complex
 from .errors import (
     DimensionMismatch,
     NonFiniteEntries,
@@ -231,7 +231,7 @@ def rank_report(a: Matrix, max_tuples: int = DEFAULT_MAX_TUPLES) -> RankReport:
     cols = column_space(a)
     row_rank = rows.generator_dimension()
     col_rank = cols.generator_dimension()
-    trop = tropical_dimension(rows, max_tuples)
+    trop = cell_complex(rows, max_tuples).tropical_dim
     return RankReport(
         row_gen_rank=row_rank,
         col_gen_rank=col_rank,

@@ -39,6 +39,15 @@ cell's witness is decoded from its closure as integer numerators over the
 common scale 4 * _UNIT * denom, its argmin masks are recomputed in ints
 and compared with the cell's own, and it becomes a tuple of Fractions only
 on the Face.
+
+Tropical dimension and purity read only the covering cells, and the same
+walk finds those alone with a prune.  At a node, let U be the coordinates
+no chosen mask covers yet.  When some u in U is dead for every remaining
+generator, no mask below the node can take u, since closure entries only
+fall with depth, so the node is dropped; at the last generator only masks
+holding U are kept.  The pruned walk runs only where no value it forms can
+reach _INF (`_below_sentinel`); elsewhere the summary comes from the full
+complex, whose witness re-check on every face reports such a collision.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from .errors import (
     DimensionMismatch,
@@ -332,7 +342,8 @@ class Face:
 
 @dataclass(frozen=True)
 class CellComplex:
-    """All cells of the covector decomposition, with dimension and purity."""
+    """Cells of the covector decomposition, with dimension and purity: all
+    of them from `cell_complex`, the covering ones in the covering summary."""
 
     faces: tuple
     tropical_dim: int
@@ -342,8 +353,11 @@ class CellComplex:
         return [f for f in self.faces if f.covering]
 
 
-def _face_key(face: Face):
-    return tuple(tuple(sorted(c)) for c in face.covector)
+def _check_scale(polytope: Polytope, max_tuples: int) -> None:
+    """The nominal bound on the (2^n - 1)^m argmin-profile grid."""
+    nominal = (2**polytope.ambient - 1) ** polytope.generator_dimension()
+    if nominal > max_tuples:
+        raise ScaleLimitExceeded(f"{nominal} candidate profiles exceed the bound of {max_tuples}")
 
 
 def cell_complex(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES) -> CellComplex:
@@ -357,12 +371,53 @@ def cell_complex(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES) -> Ce
     The bound is checked on every call; the complex itself is computed
     once per polytope instance and memoised on it.
     """
-    nominal = (2**polytope.ambient - 1) ** polytope.generator_dimension()
-    if nominal > max_tuples:
-        raise ScaleLimitExceeded(f"{nominal} candidate profiles exceed the bound of {max_tuples}")
+    _check_scale(polytope, max_tuples)
     if polytope._complex is None:
-        polytope._complex = _compute_complex(polytope)
+        polytope._complex = _compute_complex(polytope, covering_only=False)
     return polytope._complex
+
+
+def _covering_cells(polytope: Polytope, max_tuples: int) -> CellComplex:
+    """The covering part of the complex: its covering faces, in the same
+    order and with the same witnesses, and its tropical dimension and
+    purity, which read only those faces.
+
+    The bound is checked on every call.  The summary is memoised on the
+    polytope; it is read off the complex when that is memoised already,
+    and otherwise comes from the walk pruned to covering cells.
+    """
+    _check_scale(polytope, max_tuples)
+    if polytope._covering is None:
+        if polytope._complex is None and _below_sentinel(polytope):
+            polytope._covering = _compute_complex(polytope, covering_only=True)
+        else:
+            full = cell_complex(polytope, max_tuples)
+            polytope._covering = CellComplex(
+                faces=tuple(full.covering_faces()), tropical_dim=full.tropical_dim, pure=full.pure
+            )
+    return polytope._covering
+
+
+def _below_sentinel(polytope: Polytope) -> bool:
+    """Does every value the walk compares with _INF stay below it?
+
+    Let M be the largest absolute scaled entry.  A star edge costs
+    (v_r - v_q) * _UNIT, one less when strict, so at most 2M * _UNIT + 1 in
+    absolute value.  A closure entry is a shortest path, simple since no
+    cycle is negative, so it has at most n - 1 edges.  `_insert_star`
+    extends an entry by one edge for into[s], out[t] and the cycle test,
+    and adds into[s] + out[t]: at most 2n edges.  `_feasible_masks` adds at
+    most 2M * _UNIT to an entry.  So every such value is below
+    2n * (2M * _UNIT + 1) in absolute value, and the test below leaves a
+    factor of two to spare.
+
+    Where it fails, the summary comes from the full complex instead, whose
+    witness re-check on every face turns a collision into an
+    AssertionError; the pruned walk could skip the face that shows it.
+    """
+    scaled = _scaled(polytope.extremals().generators)[0]
+    top = max(abs(v) for g in scaled for v in g)
+    return 4 * polytope.ambient * (2 * top * _UNIT + 1) < _INF
 
 
 def _mask_dimension(masks, n):
@@ -384,7 +439,26 @@ def _mask_dimension(masks, n):
     return len(parts) + n - union.bit_count()
 
 
-def _compute_complex(polytope: Polytope) -> CellComplex:
+def _stranded(dist, n, rest, uncovered) -> bool:
+    """Is some coordinate of `uncovered` dead, by the test of
+    `_feasible_masks`, for every generator of `rest` (each scaled by
+    _UNIT)?  Closure entries only fall with depth, so such a coordinate
+    stays dead below this node: no mask takes it, and no leaf below is a
+    covering cell.
+    """
+    while uncovered:
+        low = uncovered & -uncovered
+        uncovered ^= low
+        u = low.bit_length() - 1
+        bounds = [(q, d) for q, d in enumerate(dist[u * n:(u + 1) * n]) if d < _INF]
+        if all(any(d + units[u] - units[q] < 0 for q, d in bounds) for units in rest):
+            return True
+    return False
+
+
+def _compute_complex(polytope: Polytope, covering_only: bool) -> CellComplex:
+    """Walk the argmin profiles depth first; with `covering_only`, prune
+    every subtree holding no covering cell and keep only covering leaves."""
     gens = polytope.extremals().generators
     n = polytope.ambient
     m = len(gens)
@@ -394,8 +468,13 @@ def _compute_complex(polytope: Polytope) -> CellComplex:
     sets = [frozenset(q for q in range(n) if mask >> q & 1) for mask in range(1 << n)]
     table = [[None] + [_star(vi, sets[mask], n) for mask in range(1, 1 << n)] for vi in scaled]
     members = [frozenset(i for i in range(m) if bits >> i & 1) for bits in range(1 << m)]
+    # faces sort by covector, each component taken as its sorted tuple of
+    # generators; rank[bits] is the place of that tuple among all of them
+    rank = [0] * (1 << m)
+    for k, bits in enumerate(sorted(range(1 << m), key=lambda bits: sorted(members[bits]))):
+        rank[bits] = k
     values = {}  # witness numerator -> Fraction; coordinates repeat across cells
-    faces = []
+    keyed = []
 
     def add(acc, dist):
         nums = _witness(dist, n, lifted, scale, acc)
@@ -415,46 +494,60 @@ def _compute_complex(polytope: Polytope) -> CellComplex:
             if x is None:
                 x = values[v] = Fraction(v, scale)
             witness.append(x)
-        faces.append(
-            Face(
-                covector=tuple(members[bits] for bits in cov),
-                witness=tuple(witness),
-                dim=_mask_dimension(acc, n),
-                covering=union == full,
-            )
+        face = Face(
+            covector=tuple(members[bits] for bits in cov),
+            witness=tuple(witness),
+            dim=_mask_dimension(acc, n),
+            covering=union == full,
         )
+        keyed.append((tuple(rank[bits] for bits in cov), face))
 
-    def walk(i, dist, acc):
+    def walk(i, dist, acc, uncovered):
+        if covering_only and _stranded(dist, n, units[i:], uncovered):
+            return
+        last = i + 1 == m
         for mask in _feasible_masks(dist, n, units[i]):
+            if covering_only and last and uncovered & ~mask:
+                continue
             nxt = _insert_star(dist, n, table[i][mask])
             if nxt is None:
                 raise AssertionError("a feasible argmin mask made the cell system infeasible")
-            if i + 1 == m:
+            if last:
                 add(acc + (mask,), nxt)
             else:
-                walk(i + 1, nxt, acc + (mask,))
+                walk(i + 1, nxt, acc + (mask,), uncovered & ~mask)
 
-    walk(0, _fresh(n), ())
+    walk(0, _fresh(n), (), full)
 
-    faces.sort(key=_face_key)
+    keyed.sort(key=itemgetter(0))
+    faces = tuple(face for _, face in keyed)
     covering = [f for f in faces if f.covering]
     if not covering:
         raise AssertionError("a non-empty polytope always has covering cells")
     top = max(f.dim for f in covering)
     top_cells = [f.covector for f in covering if f.dim == top]
     pure = all(any(covector_leq(t, f.covector) for t in top_cells) for f in covering)
-    return CellComplex(faces=tuple(faces), tropical_dim=top, pure=pure)
+    return CellComplex(faces=faces, tropical_dim=top, pure=pure)
 
 
 def tropical_dimension(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES) -> int:
-    """Topological (affine) dimension of the polytope."""
-    return cell_complex(polytope, max_tuples).tropical_dim
+    """Topological (affine) dimension of the polytope: the largest
+    dimension of a covering cell.
+
+    Served by the covering cells alone, which the walk pruned to them finds
+    without enumerating the rest of the complex; see `_covering_cells`.
+    """
+    return _covering_cells(polytope, max_tuples).tropical_dim
 
 
 def pure_dimension(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES):
     """(pure, dim): dim is the tropical dimension, pure whether every
-    covering cell lies inside a covering cell of that dimension."""
-    report = cell_complex(polytope, max_tuples)
+    covering cell lies inside a covering cell of that dimension.
+
+    Like `tropical_dimension`, read off the covering cells alone; the
+    bound applies as for `cell_complex`.
+    """
+    report = _covering_cells(polytope, max_tuples)
     return report.pure, report.tropical_dim
 
 

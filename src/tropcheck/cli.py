@@ -4,10 +4,11 @@ Subcommands: analyze | polytope | faces | plot | oracle.  Exit codes are
 operational only: 0 whatever the mathematical verdicts, 2 for malformed
 input or arguments (including an --input path that cannot be read, an
 --output path that cannot be written, input that is not UTF-8, JSON nested
-too deeply to parse and a non-positive --max-tuples), 3 for an operation
-the input shape does not support, 4 when an enumeration bound is exceeded,
-5 when an internal consistency check fails (a defect in tropcheck; the
-message asks for the input document).
+too deeply to parse, a JSON integer past the interpreter's int/str digit
+limit, a numeral with non-ASCII digits and a non-positive --max-tuples), 3
+for an operation the input shape does not support, 4 when an enumeration
+bound is exceeded, 5 when an internal consistency check fails (a defect in
+tropcheck; the message asks for the input document).
 Verdicts live in the payload; --format picks JSON or a line-per-field text
 rendering of the same data.
 """
@@ -24,7 +25,7 @@ from .algebra import (
     rank_report,
     regularity_witness,
 )
-from .cells import DEFAULT_MAX_TUPLES, cell_complex
+from .cells import DEFAULT_MAX_TUPLES, cell_complex, pure_dimension
 from .documents import (
     entry_to_json,
     matrix_from_document,
@@ -99,6 +100,8 @@ def _load_json(path: str):
         raise MalformedDocument(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise MalformedDocument("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer beyond the interpreter's int/str digit limit
+        raise MalformedDocument(f"invalid JSON: {exc}") from None
 
 
 def _is_scalar_list(value) -> bool:
@@ -197,13 +200,13 @@ def _cmd_analyze(args) -> int:
 def _cmd_polytope(args) -> int:
     polytope = polytope_from_document(_load_json(args.input))
     report = is_projective(polytope)
-    complex_ = cell_complex(polytope, args.max_tuples)
+    pure, dim = pure_dimension(polytope, args.max_tuples)
     payload = {
         "ambient": polytope.ambient,
         "gendim": report.gendim,
         "dualdim": report.dualdim,
-        "tropical_dim": complex_.tropical_dim,
-        "pure": complex_.pure,
+        "tropical_dim": dim,
+        "pure": pure,
         "min_plus_convex": polytope.is_min_plus_convex(),
         "projective": report.projective,
         "reason": report.reason,

@@ -38,7 +38,7 @@ class Polytope:
     # Derived objects are memoised on the instance.  Each is a pure function
     # of the generators, so a concurrent first computation writes an equal
     # value and sharing a polytope across threads stays safe.
-    __slots__ = ("ambient", "generators", "_extremals", "_row_space", "_complex")
+    __slots__ = ("ambient", "generators", "_extremals", "_row_space", "_complex", "_covering")
 
     def __init__(self, points):
         pts = sorted({canonical_point(p) for p in points})
@@ -52,6 +52,7 @@ class Polytope:
         self._extremals = None
         self._row_space = None
         self._complex = None  # owned by cells.cell_complex
+        self._covering = None  # owned by cells._covering_cells
 
     # -- membership
 

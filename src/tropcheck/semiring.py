@@ -76,7 +76,7 @@ class _Bottom:
 
 BOTTOM = _Bottom()
 
-_SCALAR_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z")
+_SCALAR_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?\Z", re.ASCII)
 
 
 def parse_entry(text: str):

@@ -25,7 +25,17 @@ from tropcheck import (
     row_space,
     tropical_dimension,
 )
-from tropcheck.cells import _INF, _UNIT, _feasible_masks, _fresh, _insert_star, _scaled, _star
+from tropcheck.cells import (
+    DEFAULT_MAX_TUPLES,
+    _INF,
+    _UNIT,
+    _covering_cells,
+    _feasible_masks,
+    _fresh,
+    _insert_star,
+    _scaled,
+    _star,
+)
 from tropcheck.oracles import random_idempotent, random_matrix, random_point, random_polytope
 from tropcheck.polytopes import canonical_point
 
@@ -351,6 +361,80 @@ def test_overflowing_bounds_known_defect():
     s = 10**15
     report = cell_complex(Polytope([(0, 0, 0), (5 * s, -2 * s, 0), (5 * s, 5 * s, 0)]))
     assert (report.pure, report.tropical_dim) == (False, 3)
+
+
+# -- the walk pruned to covering cells against the full complex
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        _polytopes(5, 4, st.integers(-20, 20), (1, 2, 3, 7)),
+        _polytopes(5, 4, st.integers(-2, 2), (1, 2, 3, 7)),
+    )
+)
+def test_covering_walk_matches_the_full_complex(p):
+    fresh = Polytope(p.generators)
+    summary = _covering_cells(fresh, DEFAULT_MAX_TUPLES)
+    assert fresh._complex is None  # the pruned walk answered, not the full one
+    full = cell_complex(p)
+    assert summary.faces == tuple(full.covering_faces())
+    assert (summary.tropical_dim, summary.pure) == (full.tropical_dim, full.pure)
+
+
+def test_covering_summary_is_memoised_and_guard_still_applies():
+    p = random_polytope(3, 3, seed=22)
+    full = cell_complex(random_polytope(3, 3, seed=22))
+    assert pure_dimension(p) == (full.pure, full.tropical_dim)
+    assert p._complex is None
+    first = p._covering
+    for route in (pure_dimension, tropical_dimension):
+        with pytest.raises(ScaleLimitExceeded):
+            route(p, max_tuples=10)
+    assert tropical_dimension(p) == full.tropical_dim
+    assert p._covering is first
+    # with the full complex memoised first, the summary is read off it
+    q = random_polytope(3, 3, seed=22)
+    faces = cell_complex(q).covering_faces()
+    assert tropical_dimension(q) == full.tropical_dim
+    assert len(q._covering.faces) == len(faces)
+    assert all(a is b for a, b in zip(q._covering.faces, faces))
+
+
+def _outcome(route, generators):
+    try:
+        return route(Polytope(generators))
+    except AssertionError as exc:
+        return "AssertionError", str(exc)
+
+
+def _full_route(p):
+    report = cell_complex(p)
+    return report.pure, report.tropical_dim
+
+
+def _mixed_magnitude_generators():
+    # the overflow repro above; one huge entry among small ones, where a
+    # walk pruned past the face whose witness fails answers (True, 2); then
+    # (4, 4) polytopes built like the benchmark's mixed-magnitude instances:
+    # entries in [-20, 20] scaled by 10^15, or divided by denominators near
+    # 10^13
+    s = 10**15
+    yield [(0, 0, 0), (5 * s, -2 * s, 0), (5 * s, 5 * s, 0)]
+    yield [(-18, -3, -13, 7), (-15, -8 * s, -19, 11)]
+    rng = random.Random(31)
+    for _ in range(6):
+        gens = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(4)]
+        yield [[e * 10**15 for e in g] for g in gens]
+        dens = [10**13 + rng.randint(1, 10**6) for _ in gens]
+        yield [[Fraction(e, d) for e in g] for g, d in zip(gens, dens)]
+
+
+def test_covering_route_fails_exactly_where_the_full_complex_does():
+    # a magnitude the sentinel cannot carry must never turn into a silent
+    # verdict: pure_dimension raises the full complex's error or agrees
+    for gens in _mixed_magnitude_generators():
+        assert _outcome(pure_dimension, gens) == _outcome(_full_route, gens)
 
 
 # -- invariance under translation, positive integer scaling and permutation

@@ -146,6 +146,29 @@ def test_non_utf8_input_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("tropcheck: malformed input: input is not UTF-8 text: ")
 
 
+def test_non_ascii_digits_exit_two(tmp_path, capsys):
+    # "\u0661\u0662" is 12 in Arabic-Indic digits; the scalar format is ASCII
+    for entry in ("\u0661\u0662", "1/\u0662"):
+        doc = write_doc(tmp_path, "p.json", {"ambient": 2, "generators": [[entry, 0]]})
+        assert main(["polytope", "--input", doc]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tropcheck: malformed input: not a scalar: ")
+        assert err.count("\n") == 1
+
+
+def test_json_integer_past_the_digit_limit_exits_two(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this interpreter has no int/str digit limit")
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"ambient": 2, "generators": [[' + "7" * (limit + 700) + ", 0]]}", encoding="utf-8")
+    assert main(["polytope", "--input", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tropcheck: malformed input: invalid JSON: ")
+    assert err.count("\n") == 1
+    assert sys.get_int_max_str_digits() == limit  # the process-wide limit is left alone
+
+
 # -- polytope
 
 
@@ -388,13 +411,16 @@ def test_internal_check_failure_exits_five(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("cell witness failed to realise its own profile")
 
+    # `polytope` reads the covering cells, `faces` the full complex
+    monkeypatch.setattr("tropcheck.cli.pure_dimension", broken)
     monkeypatch.setattr("tropcheck.cli.cell_complex", broken)
     doc = write_doc(tmp_path, "p.json", {"ambient": 2, "generators": [[0, -1], [-2, 0]]})
-    assert main(["polytope", "--input", doc]) == 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("tropcheck: internal check failed: cell witness failed")
-    assert "input document" in captured.err
+    for command in ("polytope", "faces"):
+        assert main([command, "--input", doc]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tropcheck: internal check failed: cell witness failed")
+        assert "input document" in captured.err
 
 
 def test_module_entry_point(tmp_path, golden_doc):
