@@ -2,18 +2,21 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/frontier.py [--limit-s 1.0] [--max-n 8] [--max-m 8] [--out FILE]
+    python3 tools/frontier.py [--out FILE]
 
-For every ambient dimension n from 3 to --max-n, shapes (n, m) are tried
-with m = 2, 3, ... up to --max-m: five polytopes per shape, their m
+For every ambient dimension n from 3 to MAX_N, shapes (n, m) are tried
+with m = 2, 3, ... up to MAX_M: five polytopes per shape, their m
 generators drawn with `oracles.random_vector(n, lo=-20, hi=20)` from a
 fresh `random.Random(5)`.
 A shape is within the limit when every one of its five polytopes, built
-anew so that no memo answers, gets its answer in under --limit-s seconds.
-The first shape over the limit ends the row; a row that reaches --max-m
+anew so that no memo answers, gets its answer in under LIMIT_S seconds.
+The first shape over the limit ends the row; a row that reaches MAX_M
 reports it, as a lower bound.  Two routes are timed:
 `cell_complex`, which enumerates every cell, and `pure_dimension`, which
-reads the covering cells alone.
+reads the covering cells alone.  Both are called with the nominal
+`max_tuples` profile bound lifted (UNBOUNDED), so the clock alone decides.
+At the default bound of 10^7 both refuse, with ScaleLimitExceeded, every
+shape whose (2^n - 1)^m exceeds it: (5,5), (6,4), (7,4), (8,3) and up.
 
 Prints, per route, the frontier (for each n the largest m within the
 limit) and the per-shape times in ms; with --out the same goes to a JSON
@@ -37,9 +40,12 @@ from tropcheck.oracles import random_vector  # noqa: E402
 
 ROUTES = {"cell_complex": cell_complex, "pure_dimension": pure_dimension}
 UNBOUNDED = 10**30  # the nominal profile bound would stop large shapes before the clock does
+LIMIT_S = 1.0
+MAX_N = 8
+MAX_M = 8
 
 
-def shape_times(route, n: int, m: int, limit_s: float) -> list:
+def shape_times(route, n: int, m: int) -> list:
     """Seconds per polytope of one shape, stopping at the first over the limit."""
     rng = random.Random(5)
     polytopes = [[random_vector(n, rng=rng, lo=-20, hi=20) for _ in range(m)] for _ in range(5)]
@@ -49,19 +55,19 @@ def shape_times(route, n: int, m: int, limit_s: float) -> list:
         t0 = perf_counter()
         route(p, UNBOUNDED)
         times.append(perf_counter() - t0)
-        if times[-1] >= limit_s:
+        if times[-1] >= LIMIT_S:
             break
     return times
 
 
-def frontier(route, max_n: int, max_m: int, limit_s: float) -> dict:
+def frontier(route) -> dict:
     largest = {}
     times_ms = {}
-    for n in range(3, max_n + 1):
-        for m in range(2, max_m + 1):
-            times = shape_times(route, n, m, limit_s)
+    for n in range(3, MAX_N + 1):
+        for m in range(2, MAX_M + 1):
+            times = shape_times(route, n, m)
             times_ms[f"{n},{m}"] = [round(t * 1e3, 1) for t in times]
-            if max(times) >= limit_s:
+            if max(times) >= LIMIT_S:
                 break
             largest[n] = m
     return {"largest_m": largest, "times_ms": times_ms}
@@ -69,20 +75,17 @@ def frontier(route, max_n: int, max_m: int, limit_s: float) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--limit-s", type=float, default=1.0)
-    parser.add_argument("--max-n", type=int, default=8)
-    parser.add_argument("--max-m", type=int, default=8)
     parser.add_argument("--out")
     args = parser.parse_args(argv)
 
     record = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "limit_s": args.limit_s,
+        "limit_s": LIMIT_S,
         "routes": {},
     }
     for name, route in ROUTES.items():
-        result = frontier(route, args.max_n, args.max_m, args.limit_s)
+        result = frontier(route)
         record["routes"][name] = result
         print(f"{name}: " + " ".join(f"({n},{m})" for n, m in result["largest_m"].items()), flush=True)
     if args.out:
