@@ -45,6 +45,7 @@ from .errors import (
     NotIdempotent,
     NotMember,
     NotSquare,
+    OutputLimitExceeded,
     PositiveCycle,
     ScaleLimitExceeded,
     TropicalError,

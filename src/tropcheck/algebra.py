@@ -24,7 +24,7 @@ from .errors import (
     PositiveCycle,
 )
 from .polytopes import EmbeddingReport, Polytope, column_space, row_space
-from .semiring import BOTTOM, Matrix, as_vector, double_residual, right_residual
+from .semiring import BOTTOM, Matrix, _common, _product, as_vector, double_residual, right_residual
 
 REASON_DIMENSION_MISMATCH = "dimension-mismatch"
 REASON_NOT_MIN_PLUS_CONVEX = "not-min-plus-convex"
@@ -61,7 +61,8 @@ def is_idempotent(a: Matrix) -> bool:
     """Exact test of A @ A = A."""
     if not a.is_square:
         raise NotSquare("idempotency is defined for square matrices")
-    return a.mul(a) == a
+    x = a._ints()[1]
+    return _product(x, x, a.cols) == x
 
 
 def regularity_witness(a: Matrix) -> RegularityReport:
@@ -75,7 +76,8 @@ def regularity_witness(a: Matrix) -> RegularityReport:
     if not a.is_finite:
         raise NonFiniteEntries("regularity is decided for finite matrices")
     b = double_residual(a)
-    regular = a.mul(b).mul(a) == a
+    _, (x, y) = _common(a._ints(), b._ints())
+    regular = _product(_product(x, y, a.cols), x, a.cols) == x
     return RegularityReport(regular=regular, witness=b if regular else None)
 
 
@@ -124,16 +126,14 @@ def same_span(p: Polytope, q: Polytope) -> bool:
     canonical extremal generators decides it."""
     if p.ambient != q.ambient:
         raise DimensionMismatch("spans live in different ambient spaces")
-    return all(g in q for g in p.extremals().generators) and all(
-        g in p for g in q.extremals().generators
-    )
+    return q._holds(*p.extremals()._ints()) and p._holds(*q.extremals()._ints())
 
 
 def _synthesize(polytope: Polytope) -> tuple[Matrix, str | None]:
     """The infimum matrix of the polytope and why it fails to be an idempotent
     with the polytope as its column space, or None when it is one."""
     candidate = infimum_matrix(polytope)
-    if candidate.mul(candidate) != candidate:
+    if not is_idempotent(candidate):
         return candidate, "the infimum matrix is not idempotent"
     if not same_span(column_space(candidate), polytope):
         return candidate, "the infimum matrix spans a different polytope"
@@ -192,7 +192,7 @@ def canonical_projection(e: Matrix, x):
         raise NotSquare("projection needs a square matrix")
     if not e.is_finite:
         raise NonFiniteEntries("projection needs a finite matrix")
-    if e.mul(e) != e:
+    if not is_idempotent(e):
         raise NotIdempotent("projection is defined for idempotent matrices")
     if column_space(e).generator_dimension() != e.rows:
         raise NotFullRank("projection needs full column generator rank")

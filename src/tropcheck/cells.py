@@ -21,8 +21,9 @@ A depth-first search over profiles prunes infeasible prefixes, which cuts
 the nominal (2^n - 1)^m candidate grid down to the realizable cells while
 visiting exactly the same feasible set.
 
-The search runs on exact Python ints, the generators scaled to a common
-denominator, with argmin sets as bitmasks over the coordinates.  At a node
+The search runs on exact Python ints, the integer frame of the extremal
+polytope (its generators over the lcm of their own denominators), with
+argmin sets as bitmasks over the coordinates.  At a node
 with closure dist, the masks generator i can take are read off in closed
 form.  Shift the closure into the coordinates y_a = x_a - v_a of the
 scaled generator v: D[u][q] = dist[u][q] + (v_u - v_q) * _UNIT bounds
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 
 from .errors import (
@@ -138,14 +138,11 @@ def covector_dimension(cov) -> int:
 # exact feasibility of an argmin profile
 
 
-def _scaled(gens):
-    """The generators as ints over their common denominator; the same ints
-    lifted to the witness scale 4 * _UNIT * denom; and that scale."""
-    denom = 1
-    for g in gens:
-        for e in g:
-            denom = lcm(denom, e.denominator)
-    scaled = [[e.numerator * (denom // e.denominator) for e in g] for g in gens]
+def _scaled(polytope: Polytope):
+    """The canonical extremal generators as ints over their own common
+    denominator (the frame of `polytope.extremals()`); the same ints lifted
+    to the witness scale 4 * _UNIT * denom; and that scale."""
+    denom, scaled = polytope.extremals()._ints()
     return scaled, [[4 * _UNIT * v for v in g] for g in scaled], 4 * _UNIT * denom
 
 
@@ -314,7 +311,7 @@ def realize_profile(profile, polytope: Polytope):
             raise ValueError("profile components must be non-empty")
         if any(not 0 <= q < n for q in a):
             raise ValueError("profile coordinate out of range")
-    scaled, lifted, scale = _scaled(gens)
+    scaled, lifted, scale = _scaled(polytope)
     dist = _fresh(n)
     for vi, a in zip(scaled, sets):
         dist = _insert_star(dist, n, _star(vi, a, n))
@@ -415,7 +412,7 @@ def _below_sentinel(polytope: Polytope) -> bool:
     witness re-check on every face turns a collision into an
     AssertionError; the pruned walk could skip the face that shows it.
     """
-    scaled = _scaled(polytope.extremals().generators)[0]
+    scaled = polytope.extremals()._ints()[1]
     top = max(abs(v) for g in scaled for v in g)
     return 4 * polytope.ambient * (2 * top * _UNIT + 1) < _INF
 
@@ -459,11 +456,10 @@ def _stranded(dist, n, rest, uncovered) -> bool:
 def _compute_complex(polytope: Polytope, covering_only: bool) -> CellComplex:
     """Walk the argmin profiles depth first; with `covering_only`, prune
     every subtree holding no covering cell and keep only covering leaves."""
-    gens = polytope.extremals().generators
     n = polytope.ambient
-    m = len(gens)
+    scaled, lifted, scale = _scaled(polytope)
+    m = len(scaled)
     full = (1 << n) - 1
-    scaled, lifted, scale = _scaled(gens)
     units = [[_UNIT * v for v in vi] for vi in scaled]
     sets = [frozenset(q for q in range(n) if mask >> q & 1) for mask in range(1 << n)]
     table = [[None] + [_star(vi, sets[mask], n) for mask in range(1, 1 << n)] for vi in scaled]

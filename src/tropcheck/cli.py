@@ -8,7 +8,10 @@ too deeply to parse, a JSON integer past the interpreter's int/str digit
 limit, a numeral with non-ASCII digits and a non-positive --max-tuples), 3
 for an operation the input shape does not support, 4 when an enumeration
 bound is exceeded, 5 when an internal consistency check fails (a defect in
-tropcheck; the message asks for the input document).
+tropcheck; the message asks for the input document), 6 when a result holds
+a numeral longer than the interpreter's int/str digit limit, which tropcheck
+does not raise (`documents.entry_to_json` turns every result entry into an
+output numeral and reports it).
 Verdicts live in the payload; --format picks JSON or a line-per-field text
 rendering of the same data.
 """
@@ -40,6 +43,7 @@ from .errors import (
     NotFullRank,
     NotIdempotent,
     NotSquare,
+    OutputLimitExceeded,
     ScaleLimitExceeded,
 )
 from .polytopes import column_space, row_space
@@ -50,6 +54,7 @@ EXIT_MALFORMED = 2
 EXIT_UNSUPPORTED = 3
 EXIT_SCALE = 4
 EXIT_INTERNAL = 5
+EXIT_OUTPUT_LIMIT = 6
 
 # sorted(oracles.SUITES), kept here so that building the parser does not
 # import the oracles; only the oracle subcommand needs them
@@ -321,6 +326,9 @@ def main(argv=None) -> int:
     except ScaleLimitExceeded as exc:
         print(f"tropcheck: scale limit exceeded: {exc}", file=sys.stderr)
         return EXIT_SCALE
+    except OutputLimitExceeded as exc:
+        print(f"tropcheck: output numeral too long: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT_LIMIT
     except (
         DimensionMismatch,
         EmptyPolytope,

@@ -9,17 +9,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MalformedDocument
+from .errors import MalformedDocument, OutputLimitExceeded
 from .polytopes import Polytope
 from .semiring import BOTTOM, Matrix, parse_entry
 
 
 def entry_to_json(value):
+    """An entry as a JSON integer, "p/q" or "-inf": the one place where
+    results become output numerals.
+
+    Raises OutputLimitExceeded when a numeral of the entry is longer than
+    the interpreter's int/str conversion limit, which is left as it is.
+    """
     if value is BOTTOM:
         return "-inf"
-    if value.denominator == 1:
-        return int(value)
-    return str(value)
+    try:
+        text = str(value)
+    except ValueError as exc:
+        raise OutputLimitExceeded(str(exc)) from None
+    return int(value) if value.denominator == 1 else text
 
 
 def entry_from_json(value, *, allow_bottom: bool):

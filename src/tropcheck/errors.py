@@ -47,3 +47,8 @@ class ScaleLimitExceeded(TropicalError):
 
 class MalformedDocument(TropicalError):
     """A JSON document does not match the expected schema."""
+
+
+class OutputLimitExceeded(TropicalError):
+    """A result holds a numeral longer than the interpreter's int/str
+    conversion limit, so it cannot be written as a decimal numeral."""

@@ -26,8 +26,8 @@ from .algebra import (
 )
 from .cells import covector, covector_leq, cell_complex, descend_to_singletons, pure_dimension
 from .errors import NonFiniteEntries, ScaleLimitExceeded
-from .polytopes import Polytope, canonical_point, column_space, row_space
-from .semiring import Matrix, _combine, vec_leq, vec_min, vec_scale
+from .polytopes import Polytope, _member, canonical_point, column_space, row_space
+from .semiring import Matrix, _combine, _fractions, vec_leq, vec_scale
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +96,15 @@ def random_idempotent(n: int, *, seed=None, rng=None, lo=-5, full_rank=False, sp
 def random_point(polytope: Polytope, *, seed=None, rng=None, lo=-5, hi=5):
     """A random point of the polytope: a max-plus combination of generators."""
     rng = _rng(seed, rng)
-    gens = polytope.generators
-    lams = [random_entry(rng, lo, hi) for _ in gens]
+    denom = polytope._ints()[0]
+    return _fractions((_random_ints(polytope, rng, lo, hi),), denom)[0]
+
+
+def _random_ints(polytope: Polytope, rng, lo=-5, hi=5):
+    """`random_point` as ints over the polytope's frame, from the same draws:
+    coefficients random_entry(rng, lo, hi), integers, times the denominator."""
+    denom, gens = polytope._ints()
+    lams = [rng.randint(lo, hi) * denom for _ in gens]
     return _combine(lams, gens, polytope.ambient)
 
 
@@ -201,14 +208,14 @@ def minplus_sampling_refuter(polytope: Polytope, samples: int = 1000, *, seed=No
     re-verified against membership before being reported.
     """
     rng = _rng(seed, rng)
+    denom, gens = polytope._ints()
     for _ in range(samples):
-        x = random_point(polytope, rng=rng)
-        y = random_point(polytope, rng=rng)
-        low = vec_min(x, y)
-        if low not in polytope:
-            if x not in polytope or y not in polytope:
+        x = _random_ints(polytope, rng)
+        y = _random_ints(polytope, rng)
+        if not _member(tuple(map(min, x, y)), gens):
+            if not _member(x, gens) or not _member(y, gens):
                 raise AssertionError("sampled points must belong to the polytope")
-            return x, y
+            return _fractions((x, y), denom)
     return None
 
 

@@ -9,6 +9,16 @@ set up to scaling.
 
 Membership is decided by the principal-solution test: x lies in the span
 iff recombining the greatest admissible coefficients reproduces x exactly.
+
+Each polytope fills, on first use, one integer frame: the lcm of its
+generators' denominators and the generators multiplied through by it, as
+int tuples in `generators` order (see `semiring` for why this is exact).
+Membership, extremal reduction and the min-plus convexity breakpoints run
+on frames; a query point is lifted with the polytope to the lcm of both
+denominators.  The extremal polytope has a frame of its own, over the lcm
+of its own generators' denominators, and the cells read that one.
+`Fraction`s are built only for what the API returns: the generators and
+the coefficients.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, EmptyPolytope, NonFiniteEntries
-from .semiring import Matrix, _combine, _principal, as_vector
+from .semiring import Matrix, _combine, _common, _fractions, _frame_of, _lift, _principal, as_vector
 
 
 def canonical_point(values) -> tuple:
@@ -38,7 +48,7 @@ class Polytope:
     # Derived objects are memoised on the instance.  Each is a pure function
     # of the generators, so a concurrent first computation writes an equal
     # value and sharing a polytope across threads stays safe.
-    __slots__ = ("ambient", "generators", "_extremals", "_row_space", "_complex", "_covering")
+    __slots__ = ("ambient", "generators", "_frame", "_extremals", "_row_space", "_complex", "_covering")
 
     def __init__(self, points):
         pts = sorted({canonical_point(p) for p in points})
@@ -47,14 +57,31 @@ class Polytope:
         n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise DimensionMismatch("generators of mixed length")
-        self.ambient = n
-        self.generators = tuple(pts)
+        self._setup(n, tuple(pts))
+
+    def _setup(self, ambient: int, generators: tuple) -> None:
+        self.ambient = ambient
+        self.generators = generators
+        self._frame = None
         self._extremals = None
         self._row_space = None
         self._complex = None  # owned by cells.cell_complex
         self._covering = None  # owned by cells._covering_cells
 
+    def _ints(self):
+        """The integer frame (denom, rows): the lcm of the generators'
+        denominators and the generators multiplied through by it, as int
+        tuples in `generators` order.  Filled on first use."""
+        if self._frame is None:
+            self._frame = _frame_of(self.generators)
+        return self._frame
+
     # -- membership
+
+    def _holds(self, denom, points) -> bool:
+        """Do all the points, int rows over denom, lie in the span?"""
+        _, (gens, points) = _common(self._ints(), (denom, points))
+        return all(_member(x, gens) for x in points)
 
     def coefficients(self, x):
         """Principal coefficients of x over the generators, or None.
@@ -63,9 +90,10 @@ class Polytope:
         max_t (lam_t + g_t) = x exactly, with each lam_t maximal.
         """
         x = as_vector(x, finite=True, length=self.ambient)
-        lams = _principal(x, self.generators)
-        if _combine(lams, self.generators, self.ambient) == x:
-            return lams
+        denom, (gens, (point,)) = _common(self._ints(), _frame_of((x,)))
+        lams = _principal(point, gens)
+        if _combine(lams, gens, self.ambient) == point:
+            return _fractions((lams,), denom)[0]
         return None
 
     def __contains__(self, x) -> bool:
@@ -74,17 +102,26 @@ class Polytope:
     # -- canonical minimal generators
 
     def extremals(self) -> "Polytope":
-        """The unique minimal generating set: drop every redundant generator."""
+        """The unique minimal generating set: drop every redundant generator.
+
+        A polytope whose generators are all extremal is its own extremal
+        set."""
         if self._extremals is None:
-            gens = list(self.generators)
+            rows = self._ints()[1]
+            keep = list(range(len(rows)))
             i = 0
-            while i < len(gens):
-                g = gens.pop(i)
-                if gens and _member(g, gens):
+            while i < len(keep):
+                k = keep.pop(i)
+                if keep and _member(rows[k], [rows[j] for j in keep]):
                     continue  # combination of the others: discard
-                gens.insert(i, g)
+                keep.insert(i, k)
                 i += 1
-            ext = Polytope(gens)
+            if len(keep) == len(rows):
+                ext = self
+            else:
+                # a subset of sorted, distinct, canonical generators is one too
+                ext = object.__new__(Polytope)
+                ext._setup(self.ambient, tuple(self.generators[k] for k in keep))
             ext._extremals = ext
             self._extremals = ext
         return self._extremals
@@ -147,8 +184,9 @@ class Polytope:
         combination of the interval endpoints; so checking every breakpoint
         for every ordered pair decides closure exactly.
         """
-        gens = self.extremals().generators
-        stored = self.generators
+        denom, stored = self._ints()
+        own, ext = self.extremals()._ints()
+        gens = _lift(ext, denom // own)  # own divides denom
         for g in gens:
             for h in gens:
                 for c in range(self.ambient):

@@ -1,7 +1,7 @@
 """Exact arithmetic over the max-plus (tropical) semiring.
 
-Scalars are arbitrary-precision rationals (`fractions.Fraction`); the
-additive identity -inf is the separate singleton `BOTTOM`.  Tropical
+Scalars are arbitrary-precision rationals (`fractions.Fraction`) at the
+API; the additive identity -inf is the separate singleton `BOTTOM`.  Tropical
 addition is maximum and tropical multiplication is ordinary +, so 0 is the
 multiplicative identity.  Everything here is exact: floats are rejected on
 input, because the decisions taken downstream (idempotency, covector
@@ -21,12 +21,23 @@ instead of silently propagating -inf.
 `_combine` is the one max-plus product loop and `_principal` the one
 residual loop: `Matrix.mul` and `left_residual` apply them row by row and
 column by column, and membership in a polytope composes the two.
+
+The kernels run on an integer frame.  Every operation they chain (max,
+min, + and -) commutes with multiplying all entries by one positive
+constant, so the computation over rows multiplied through by a common
+denominator is the exact computation, scaled.  `_frame_of` takes rows of
+rationals to (denom, int rows), BOTTOM staying BOTTOM; `_common` carries
+frames to the lcm of their denominators; `_fractions` takes ints back.  A
+`Matrix` fills its frame on first use, and products, residuals and the
+checks on them run on it.  `Fraction`s are built only for what the API
+returns: a result's `entries`, once per result.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch, NonFiniteEntries, NotSquare
 
@@ -182,6 +193,68 @@ def _combine(lams, gens, n):
     return tuple(max(lams[t] + gens[t][p] for t in range(len(gens))) for p in range(n))
 
 
+def _product(a, b, cols):
+    """Rows of the max-plus product of the rows a and b; b has `cols` columns."""
+    return tuple(_combine(row, b, cols) for row in a)
+
+
+def _residual(a, b):
+    """Rows of the greatest X with a @ X <= b: column j of X is the
+    principal solution of column j of b over the columns of a."""
+    columns = tuple(zip(*a))
+    return tuple(zip(*(_principal(x, columns) for x in zip(*b))))
+
+
+def _transpose(rows):
+    return tuple(zip(*rows))
+
+
+# ---------------------------------------------------------------------------
+# integer frames
+
+
+def _frame_of(rows):
+    """(denom, ints): the lcm of the entries' denominators and the rows
+    multiplied through by it, as int tuples; BOTTOM stays BOTTOM."""
+    denom = lcm(*{e.denominator for row in rows for e in row if e is not BOTTOM})
+    if denom == 1:
+        return 1, tuple(tuple(e if e is BOTTOM else e.numerator for e in row) for row in rows)
+    return denom, tuple(
+        tuple(e if e is BOTTOM else e.numerator * (denom // e.denominator) for e in row)
+        for row in rows
+    )
+
+
+def _lift(rows, factor):
+    """Frame rows carried to a denominator `factor` times larger."""
+    if factor == 1:
+        return rows
+    return tuple(tuple(e if e is BOTTOM else e * factor for e in row) for row in rows)
+
+
+def _common(*frames):
+    """(denom, rows of each frame): the frames carried to the lcm of their
+    denominators."""
+    denom = lcm(*(d for d, _ in frames))
+    return denom, [_lift(rows, denom // d) for d, rows in frames]
+
+
+def _fractions(rows, denom):
+    """The frame rows of ints over denom as `Fraction` entries; BOTTOM
+    stays BOTTOM, and a value repeated across the rows is built once."""
+    built = {}
+    out = []
+    for row in rows:
+        entries = []
+        for v in row:
+            x = built.get(v)
+            if x is None:
+                x = built[v] = v if v is BOTTOM else Fraction(v, denom)
+            entries.append(x)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -193,7 +266,7 @@ class Matrix:
     drop out of the maximum and an all-BOTTOM term row yields BOTTOM.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_frame")
 
     def __init__(self, rows):
         data = tuple(tuple(as_entry(e) for e in row) for row in rows)
@@ -205,6 +278,7 @@ class Matrix:
         self.rows = len(data)
         self.cols = width
         self.entries = data
+        self._frame = None
 
     @classmethod
     def _raw(cls, data: tuple) -> "Matrix":
@@ -213,7 +287,22 @@ class Matrix:
         m.rows = len(data)
         m.cols = len(data[0])
         m.entries = data
+        m._frame = None
         return m
+
+    @classmethod
+    def _from_ints(cls, denom, rows) -> "Matrix":
+        # internal: the matrix of a frame computed by the kernels, which
+        # keeps that frame; denom is a common denominator, not always the lcm
+        m = cls._raw(_fractions(rows, denom))
+        m._frame = (denom, rows)
+        return m
+
+    def _ints(self):
+        """The integer frame (denom, rows), filled on first use."""
+        if self._frame is None:
+            self._frame = _frame_of(self.entries)
+        return self._frame
 
     @classmethod
     def from_columns(cls, columns) -> "Matrix":
@@ -248,7 +337,8 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return Matrix._raw(tuple(_combine(row, other.entries, other.cols) for row in self.entries))
+        denom, (a, b) = _common(self._ints(), other._ints())
+        return Matrix._from_ints(denom, _product(a, b, other.cols))
 
     __matmul__ = mul
 
@@ -299,9 +389,8 @@ def left_residual(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch("left residual needs matching row counts")
     if not a.is_finite:
         raise NonFiniteEntries("the left factor of a residual must be finite")
-    # column j of the result is the principal solution of column j of b
-    columns = a.transpose().entries
-    return Matrix._raw(tuple(_principal(x, columns) for x in b.transpose().entries)).transpose()
+    denom, (x, y) = _common(a._ints(), b._ints())
+    return Matrix._from_ints(denom, _residual(x, y))
 
 
 def right_residual(b: Matrix, a: Matrix) -> Matrix:
@@ -314,7 +403,13 @@ def right_residual(b: Matrix, a: Matrix) -> Matrix:
         raise DimensionMismatch("right residual needs matching column counts")
     if not a.is_finite:
         raise NonFiniteEntries("the divisor of a residual must be finite")
-    return left_residual(a.transpose(), b.transpose()).transpose()
+    denom, (x, y) = _common(b._ints(), a._ints())
+    return Matrix._from_ints(denom, _right_residual(x, y))
+
+
+def _right_residual(b, a):
+    """Rows of the greatest X with X @ a <= b, for rows of one frame."""
+    return _transpose(_residual(_transpose(a), _transpose(b)))
 
 
 def double_residual(a: Matrix) -> Matrix:
@@ -329,4 +424,5 @@ def double_residual(a: Matrix) -> Matrix:
         raise NotSquare("the double residual needs a square matrix")
     if not a.is_finite:
         raise NonFiniteEntries("the double residual needs a finite matrix")
-    return left_residual(a, right_residual(a, a))
+    denom, x = a._ints()
+    return Matrix._from_ints(denom, _residual(x, _right_residual(x, x)))

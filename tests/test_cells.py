@@ -22,6 +22,7 @@ from tropcheck import (
     is_projective,
     pure_dimension,
     realize_profile,
+    regularity_witness,
     row_space,
     tropical_dimension,
 )
@@ -191,7 +192,7 @@ def test_star_insertion_matches_edge_by_edge(p, point, steps):
     # a step takes generator i with either a random mask or the argmin set
     # of one fixed point, so that long feasible sequences occur as well
     n = p.ambient
-    scaled = _scaled(p.extremals().generators)[0]
+    scaled = _scaled(p)[0]
     ref = new = _fresh(n)
     for i, bits, follow in steps:
         vi = scaled[i % len(scaled)]
@@ -231,7 +232,7 @@ def test_closed_form_masks_match_probing(p, picks):
     # walk one random feasible DFS prefix, comparing the mask lists at
     # every node on the way
     n = p.ambient
-    scaled = _scaled(p.extremals().generators)[0]
+    scaled = _scaled(p)[0]
     dist = _fresh(n)
     for vi, pick in zip(scaled, picks):
         masks = _feasible_masks(dist, n, [_UNIT * v for v in vi])
@@ -488,6 +489,102 @@ def test_cells_invariant_under_permutation(p, rng):
     perm = list(range(p.ambient))
     rng.shuffle(perm)
     _assert_invariant(p, lambda x: tuple(x[j] for j in perm), perm)
+
+
+# -- the frame-served verdicts under the same three maps
+#
+# Membership, generator and dual dimension, min-plus convexity, projectivity
+# and regularity run on integer frames and touch no cells._INF, so they take
+# mixed magnitudes up to 10^30 over denominators up to 10^17: large lcms.
+
+_mixed = st.builds(
+    Fraction,
+    st.one_of(st.integers(-20, 20), st.integers(-(10**30), 10**30)),
+    st.one_of(st.sampled_from((1, 2, 3, 7)), st.integers(1, 10**17)),
+)
+
+
+@st.composite
+def _mixed_cases(draw):
+    """A polytope with points to query (members and near misses), and a
+    square matrix: random, or a scaled idempotent, which is regular."""
+    n = draw(st.integers(1, 4))
+    p = Polytope([tuple(draw(_mixed) for _ in range(n)) for _ in range(draw(st.integers(1, 4)))])
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    points = []
+    for _ in range(3):
+        x = random_point(p, rng=rng)
+        points += [x, tuple(v + draw(_mixed) * (q == 0) for q, v in enumerate(x))]
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        a = Matrix([[draw(_mixed) for _ in range(k)] for _ in range(k)])
+    else:
+        e = random_idempotent(k, rng=rng, spread=5)
+        scale = draw(_mixed.filter(lambda v: v > 0))
+        a = Matrix([[v * scale for v in row] for row in e.entries])
+    return p, points, a
+
+
+def _frame_verdicts(p, points, a):
+    return (
+        [x in p for x in points],
+        p.generator_dimension(),
+        p.dual_dimension(),
+        p.is_min_plus_convex(),
+        is_projective(p).projective,
+        regularity_witness(a).regular,
+    )
+
+
+def _assert_frame_invariant(case, image, matrix_image):
+    """`image` maps points; `matrix_image` maps the matrix to one with the
+    same regularity verdict."""
+    p, points, a = case
+    q = Polytope([image(g) for g in p.generators])
+    moved = _frame_verdicts(q, [image(x) for x in points], matrix_image(a))
+    assert moved == _frame_verdicts(p, points, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_cases(), st.data())
+def test_frame_verdicts_invariant_under_translation(case, data):
+    # a polytope moves by a vector; a matrix by diagonal matrices on either
+    # side: D1 A D2 is regular exactly when A is
+    p, _, a = case
+    shift = [data.draw(_mixed) for _ in range(p.ambient)]
+    rows = [data.draw(_mixed) for _ in range(a.rows)]
+    cols = [data.draw(_mixed) for _ in range(a.cols)]
+    _assert_frame_invariant(
+        case,
+        lambda x: tuple(v + d for v, d in zip(x, shift)),
+        lambda m: Matrix([[v + r + c for v, c in zip(row, cols)] for row, r in zip(m.entries, rows)]),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_cases(), st.integers(1, 10**6))
+def test_frame_verdicts_invariant_under_positive_scaling(case, k):
+    _assert_frame_invariant(
+        case,
+        lambda x: tuple(k * v for v in x),
+        lambda m: Matrix([[k * v for v in row] for row in m.entries]),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_cases(), st.randoms(use_true_random=False))
+def test_frame_verdicts_invariant_under_permutation(case, rng):
+    p, _, a = case
+    perm = list(range(p.ambient))
+    rng.shuffle(perm)
+    rows, cols = list(range(a.rows)), list(range(a.cols))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    _assert_frame_invariant(
+        case,
+        lambda x: tuple(x[j] for j in perm),
+        lambda m: Matrix([[m.entries[i][j] for j in cols] for i in rows]),
+    )
 
 
 def test_tropical_dimension_cases(golden_idempotent):

@@ -169,6 +169,38 @@ def test_json_integer_past_the_digit_limit_exits_two(tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit  # the process-wide limit is left alone
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["analyze"], "matrix"),
+        (["analyze", "--regularity"], "matrix"),
+        (["analyze", "--format", "json"], "matrix"),
+        (["faces"], "polytope"),
+        (["faces", "--format", "json"], "polytope"),
+    ],
+)
+def test_output_numeral_past_the_digit_limit_exits_six(tmp_path, capsys, argv, doc):
+    # two legal entries whose denominators are each below the limit; the
+    # regularity witness and the face witnesses sit over their product
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this interpreter has no int/str digit limit")
+    a, b = "1/" + "7" * 2499 + "1", "1/" + "3" * 2499 + "1"
+    payload = (
+        {"rows": 2, "cols": 2, "entries": [[a, 0], [0, b]]}
+        if doc == "matrix"
+        else {"ambient": 2, "generators": [[a, 0], [0, b]]}
+    )
+    out = tmp_path / "out.txt"
+    code = main([*argv, "--input", write_doc(tmp_path, "big.json", payload), "--output", str(out)])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert err.startswith("tropcheck: output numeral too long: Exceeds the limit ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+    assert sys.get_int_max_str_digits() == limit
+
+
 # -- polytope
 
 
