@@ -41,13 +41,23 @@ common scale 4 * _UNIT * denom, its argmin masks are recomputed in ints
 and compared with the cell's own, and it becomes a tuple of Fractions only
 on the Face.
 
-Tropical dimension and purity read only the covering cells, and the same
-walk finds those alone with a prune.  At a node, let U be the coordinates
-no chosen mask covers yet.  When some u in U is dead for every remaining
-generator, no mask below the node can take u, since closure entries only
+Tropical dimension and purity ask only for the verdict (pure, dim), and a
+walk pruned to covering cells settles it, often early.  At a node, when
+some coordinate no chosen mask covers yet is dead for every remaining
+generator, no mask below the node can take it, since closure entries only
 fall with depth, so the node is dropped; at the last generator only masks
-holding U are kept.  The pruned walk runs only where no value it forms can
-reach _INF (`_below_sentinel`); elsewhere the summary comes from the full
+covering the rest are kept.  A covering cell has at most min(n, m)
+dimensions: its m masks cover all n coordinates, so they merge into at
+most min(n, m) components.  Profiles ordered by inclusion, mask by mask,
+give the face order (Develin-Sturmfels): a profile inside another is the
+type of a cell whose closure holds the other's.  So once a leaf of
+dimension min(n, m) has appeared, a lower-dimensional covering leaf with
+no covering profile strictly inside its own lies in the closure of no top
+cell, and the polytope is impure of dimension min(n, m); the walk stops
+there.  Leaves are packed as keys sum(mask_i << n*i), on which "t inside
+f" reads t & ~f == 0; every leaf's witness is still decoded and
+re-checked.  The pruned walk runs only where no value it forms can reach
+_INF (`_below_sentinel`); elsewhere the verdict comes from the full
 complex, whose witness re-check on every face reports such a collision.
 """
 
@@ -117,21 +127,8 @@ def covector_leq(s, t) -> bool:
 def covector_dimension(cov) -> int:
     """Affine dimension of the cell: components of the coordinate graph."""
     n = len(cov)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for p in range(n):
-        for q in range(p + 1, n):
-            if cov[p] & cov[q]:
-                ra, rb = find(p), find(q)
-                if ra != rb:
-                    parent[ra] = rb
-    return sum(1 for a in range(n) if find(a) == a)
+    masks = [sum(1 << p for p in range(n) if i in cov[p]) for i in set().union(*cov)]
+    return _mask_dimension(masks, n)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +222,15 @@ def _insert_star(dist, n, star):
     return cur
 
 
-def _feasible_masks(dist, n, units):
-    """Every argmin mask a generator can take on top of a closed bound
-    matrix, in increasing order, by the closed-form rule of the module
-    docstring: no member of S is dead and need[u] lies inside S for each
-    u in S, with D[u][q] = dist[u][q] + units[u] - units[q].
+def _feasible_masks(dist, n, units, room=-1):
+    """Every argmin mask inside `room` a generator can take on top of a
+    closed bound matrix, in increasing order, by the closed-form rule of
+    the module docstring: no member of S is dead and need[u] lies inside S
+    for each u in S, with D[u][q] = dist[u][q] + units[u] - units[q].
 
     `units` is the generator scaled by _UNIT.  Entries >= _INF are no
     bound.  A mask holding a dead coordinate is never feasible, so only
-    the submasks of the live ones are tried.
+    the submasks of the live coordinates inside `room` are tried.
     """
     need = [0] * n
     dead = 0
@@ -253,7 +250,7 @@ def _feasible_masks(dist, n, units):
         need[u] = bits
     # hull[mask] is the union of need over the members of mask; the live
     # submasks come in increasing order, so mask ^ low is always done
-    live = ((1 << n) - 1) & ~dead
+    live = ((1 << n) - 1) & room & ~dead
     hull = [0] * (1 << n)
     found = []
     mask = (-live) & live
@@ -339,8 +336,8 @@ class Face:
 
 @dataclass(frozen=True)
 class CellComplex:
-    """Cells of the covector decomposition, with dimension and purity: all
-    of them from `cell_complex`, the covering ones in the covering summary."""
+    """Every cell of the covector decomposition, as `cell_complex` finds
+    them, with the tropical dimension and purity they give."""
 
     faces: tuple
     tropical_dim: int
@@ -370,28 +367,24 @@ def cell_complex(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES) -> Ce
     """
     _check_scale(polytope, max_tuples)
     if polytope._complex is None:
-        polytope._complex = _compute_complex(polytope, covering_only=False)
+        polytope._complex = _compute_complex(polytope)
     return polytope._complex
 
 
-def _covering_cells(polytope: Polytope, max_tuples: int) -> CellComplex:
-    """The covering part of the complex: its covering faces, in the same
-    order and with the same witnesses, and its tropical dimension and
-    purity, which read only those faces.
+def _verdict(polytope: Polytope, max_tuples: int):
+    """(pure, tropical_dim) of the complex, memoised on the polytope.
 
-    The bound is checked on every call.  The summary is memoised on the
-    polytope; it is read off the complex when that is memoised already,
-    and otherwise comes from the walk pruned to covering cells.
+    The bound is checked on every call.  The verdict is read off the
+    complex when that is memoised already, and otherwise comes from the
+    verdict walk over covering cells.
     """
     _check_scale(polytope, max_tuples)
     if polytope._covering is None:
         if polytope._complex is None and _below_sentinel(polytope):
-            polytope._covering = _compute_complex(polytope, covering_only=True)
+            polytope._covering = _walk_verdict(polytope)
         else:
             full = cell_complex(polytope, max_tuples)
-            polytope._covering = CellComplex(
-                faces=tuple(full.covering_faces()), tropical_dim=full.tropical_dim, pure=full.pure
-            )
+            polytope._covering = full.pure, full.tropical_dim
     return polytope._covering
 
 
@@ -408,7 +401,7 @@ def _below_sentinel(polytope: Polytope) -> bool:
     2n * (2M * _UNIT + 1) in absolute value, and the test below leaves a
     factor of two to spare.
 
-    Where it fails, the summary comes from the full complex instead, whose
+    Where it fails, the verdict comes from the full complex instead, whose
     witness re-check on every face turns a collision into an
     AssertionError; the pruned walk could skip the face that shows it.
     """
@@ -453,16 +446,47 @@ def _stranded(dist, n, rest, uncovered) -> bool:
     return False
 
 
-def _compute_complex(polytope: Polytope, covering_only: bool) -> CellComplex:
-    """Walk the argmin profiles depth first; with `covering_only`, prune
-    every subtree holding no covering cell and keep only covering leaves."""
+def _profile_walk(scaled, n):
+    """The depth-first search over the argmin profiles of the generators
+    `scaled` (ints), which the full complex and the verdict share.
+
+    Returns run(leaf, room, covering).  It visits the feasible profiles
+    whose i-th mask lies inside room[i] and calls leaf(masks, closure) at
+    each; with `covering` it drops every subtree holding no covering
+    profile and visits covering leaves only.  It stops at the first leaf
+    for which `leaf` returns true, and returns whether it stopped.
+    """
+    m = len(scaled)
+    units = [[_UNIT * v for v in vi] for vi in scaled]
+    sets = [frozenset(q for q in range(n) if mask >> q & 1) for mask in range(1 << n)]
+    table = [[None] + [_star(vi, sets[mask], n) for mask in range(1, 1 << n)] for vi in scaled]
+
+    def run(leaf, room, covering):
+        def walk(i, dist, acc, uncovered):
+            if covering and _stranded(dist, n, units[i:], uncovered):
+                return False
+            last = i + 1 == m
+            for mask in _feasible_masks(dist, n, units[i], room[i]):
+                if covering and last and uncovered & ~mask:
+                    continue
+                nxt = _insert_star(dist, n, table[i][mask])
+                if nxt is None:
+                    raise AssertionError("a feasible argmin mask made the cell system infeasible")
+                if leaf(acc + (mask,), nxt) if last else walk(i + 1, nxt, acc + (mask,), uncovered & ~mask):
+                    return True
+            return False
+
+        return walk(0, _fresh(n), (), (1 << n) - 1)
+
+    return run
+
+
+def _compute_complex(polytope: Polytope) -> CellComplex:
+    """Walk every argmin profile and build a Face for each leaf."""
     n = polytope.ambient
     scaled, lifted, scale = _scaled(polytope)
     m = len(scaled)
     full = (1 << n) - 1
-    units = [[_UNIT * v for v in vi] for vi in scaled]
-    sets = [frozenset(q for q in range(n) if mask >> q & 1) for mask in range(1 << n)]
-    table = [[None] + [_star(vi, sets[mask], n) for mask in range(1, 1 << n)] for vi in scaled]
     members = [frozenset(i for i in range(m) if bits >> i & 1) for bits in range(1 << m)]
     # faces sort by covector, each component taken as its sorted tuple of
     # generators; rank[bits] is the place of that tuple among all of them
@@ -498,22 +522,7 @@ def _compute_complex(polytope: Polytope, covering_only: bool) -> CellComplex:
         )
         keyed.append((tuple(rank[bits] for bits in cov), face))
 
-    def walk(i, dist, acc, uncovered):
-        if covering_only and _stranded(dist, n, units[i:], uncovered):
-            return
-        last = i + 1 == m
-        for mask in _feasible_masks(dist, n, units[i]):
-            if covering_only and last and uncovered & ~mask:
-                continue
-            nxt = _insert_star(dist, n, table[i][mask])
-            if nxt is None:
-                raise AssertionError("a feasible argmin mask made the cell system infeasible")
-            if last:
-                add(acc + (mask,), nxt)
-            else:
-                walk(i + 1, nxt, acc + (mask,), uncovered & ~mask)
-
-    walk(0, _fresh(n), (), full)
+    _profile_walk(scaled, n)(add, [full] * m, False)
 
     keyed.sort(key=itemgetter(0))
     faces = tuple(face for _, face in keyed)
@@ -526,25 +535,84 @@ def _compute_complex(polytope: Polytope, covering_only: bool) -> CellComplex:
     return CellComplex(faces=faces, tropical_dim=top, pure=pure)
 
 
+def _in_closure(key, keys) -> bool:
+    """Does the cell of the packed profile `key` lie in the closure of a
+    cell of `keys`: is one of their profiles inside key, mask by mask?"""
+    return any(t & ~key == 0 for t in keys)
+
+
+def _has_larger(run, masks) -> bool:
+    """Does the walk `run` find a covering profile strictly inside `masks`,
+    mask by mask?  Such a profile is the type of a covering cell whose
+    closure holds the cell of `masks`."""
+    return run(lambda sub, _closure: sub != masks, masks, True)
+
+
+def _walk_verdict(polytope: Polytope):
+    """(pure, tropical_dim) from the covering leaves of the pruned walk,
+    which stops at the first impurity certificate (module docstring).
+
+    Leaves are kept as packed profile keys, one list per dimension.  Until
+    a leaf of the largest possible dimension min(n, m) appears they are
+    only recorded; from then on each lower leaf, the earlier ones first,
+    certifies impurity unless a recorded larger cell's closure holds it
+    or `_has_larger` finds a covering cell that does.
+    """
+    n = polytope.ambient
+    scaled, lifted, scale = _scaled(polytope)
+    m = len(scaled)
+    top = min(n, m)
+    run = _profile_walk(scaled, n)
+    keys = [[] for _ in range(top + 1)]
+    pending = []
+
+    def certifies(acc, key, dim):
+        if any(_in_closure(key, keys[d]) for d in range(dim + 1, top + 1)):
+            return False
+        return not _has_larger(run, acc)
+
+    def leaf(acc, dist):
+        if _witness(dist, n, lifted, scale, acc) is None:
+            raise AssertionError("cell witness failed to realise its own profile")
+        dim = _mask_dimension(acc, n)
+        key = 0
+        for i, mask in enumerate(acc):
+            key |= mask << (n * i)
+        keys[dim].append(key)
+        if dim == top:
+            return len(keys[top]) == 1 and any(certifies(*p) for p in pending)
+        if keys[top]:
+            return certifies(acc, key, dim)
+        pending.append((acc, key, dim))
+        return False
+
+    if run(leaf, [(1 << n) - 1] * m, True):
+        return False, top
+    dim = max((d for d in range(top + 1) if keys[d]), default=None)
+    if dim is None:
+        raise AssertionError("a non-empty polytope always has covering cells")
+    return all(_in_closure(k, keys[dim]) for d in range(dim) for k in keys[d]), dim
+
+
 def tropical_dimension(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES) -> int:
     """Topological (affine) dimension of the polytope: the largest
     dimension of a covering cell.
 
-    Served by the covering cells alone, which the walk pruned to them finds
-    without enumerating the rest of the complex; see `_covering_cells`.
+    Served by the verdict walk over covering cells, without enumerating
+    the rest of the complex; see `_verdict`.
     """
-    return _covering_cells(polytope, max_tuples).tropical_dim
+    return _verdict(polytope, max_tuples)[1]
 
 
 def pure_dimension(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES):
     """(pure, dim): dim is the tropical dimension, pure whether every
     covering cell lies inside a covering cell of that dimension.
 
-    Like `tropical_dimension`, read off the covering cells alone; the
-    bound applies as for `cell_complex`.
+    Like `tropical_dimension`, served by the verdict walk, which stops as
+    soon as two covering cells prove impurity; the bound applies as for
+    `cell_complex`.
     """
-    report = _covering_cells(polytope, max_tuples)
-    return report.pure, report.tropical_dim
+    return _verdict(polytope, max_tuples)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ class Polytope:
         self._extremals = None
         self._row_space = None
         self._complex = None  # owned by cells.cell_complex
-        self._covering = None  # owned by cells._covering_cells
+        self._covering = None  # owned by cells._verdict
 
     def _ints(self):
         """The integer frame (denom, rows): the lcm of the generators'

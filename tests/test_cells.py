@@ -26,14 +26,15 @@ from tropcheck import (
     row_space,
     tropical_dimension,
 )
+from tropcheck import cells
 from tropcheck.cells import (
-    DEFAULT_MAX_TUPLES,
     _INF,
     _UNIT,
-    _covering_cells,
     _feasible_masks,
     _fresh,
+    _has_larger,
     _insert_star,
+    _profile_walk,
     _scaled,
     _star,
 )
@@ -282,6 +283,27 @@ def test_every_witness_realises_its_covector():
             assert face.covering == all(face.covector)
 
 
+def _covector_dimension_oracle(cov):
+    # union-find over the coordinate graph: p and q joined when their
+    # covector components share a generator
+    n = len(cov)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for p in range(n):
+        for q in range(p + 1, n):
+            if cov[p] & cov[q]:
+                ra, rb = find(p), find(q)
+                if ra != rb:
+                    parent[ra] = rb
+    return sum(1 for a in range(n) if find(a) == a)
+
+
 def test_face_bookkeeping_matches_the_covector_route():
     # dims, covectors and witnesses come from argmin bitmasks; recompute
     # them from the witness point on every face, up to n = 5
@@ -291,7 +313,7 @@ def test_face_bookkeeping_matches_the_covector_route():
         p = random_polytope(rng.randint(1, 5), rng.randint(1, 4), rng=rng, lo=lo, hi=hi, max_den=1 + k % 7)
         for face in cell_complex(p).faces:
             assert covector(face.witness, p) == face.covector
-            assert face.dim == covector_dimension(face.covector)
+            assert face.dim == _covector_dimension_oracle(face.covector)
             assert face.covering == all(face.covector)
 
 
@@ -364,42 +386,109 @@ def test_overflowing_bounds_known_defect():
     assert (report.pure, report.tropical_dim) == (False, 3)
 
 
-# -- the walk pruned to covering cells against the full complex
+# -- the verdict walk against the full complex
 
 
-@settings(max_examples=200, deadline=None)
+@st.composite
+def _idempotent_spaces(draw):
+    # column spaces of idempotents are projective, hence pure: the walk
+    # runs to its end on them
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    e = random_idempotent(draw(st.integers(1, 5)), rng=rng, full_rank=draw(st.booleans()), spread=3)
+    return column_space(e)
+
+
+@st.composite
+def _thin_polytopes(draw):
+    # up to five points of a polytope with fewer generators: their tropical
+    # dimension is below min(n, m), so no leaf of that dimension appears
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 3))
+    hull = random_polytope(n, k, rng=rng, lo=-6, hi=6)
+    return Polytope([random_point(hull, rng=rng, lo=-3, hi=3) for _ in range(draw(st.integers(k + 1, 5)))])
+
+
+@settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
         _polytopes(5, 4, st.integers(-20, 20), (1, 2, 3, 7)),
         _polytopes(5, 4, st.integers(-2, 2), (1, 2, 3, 7)),
+        _polytopes(5, 5, st.integers(-1, 1), (1, 2, 3, 7)),
+        _idempotent_spaces(),
+        _thin_polytopes(),
     )
 )
 def test_covering_walk_matches_the_full_complex(p):
-    fresh = Polytope(p.generators)
-    summary = _covering_cells(fresh, DEFAULT_MAX_TUPLES)
-    assert fresh._complex is None  # the pruned walk answered, not the full one
-    full = cell_complex(p)
-    assert summary.faces == tuple(full.covering_faces())
-    assert (summary.tropical_dim, summary.pure) == (full.tropical_dim, full.pure)
+    # tie-heavy entries give cells of every dimension, impure ones stop the
+    # walk early, idempotent column spaces and thin polytopes run it to the
+    # end; (5, 5) lies past the nominal profile bound, so that is lifted
+    fresh, twin = Polytope(p.generators), Polytope(p.generators)
+    verdict = pure_dimension(fresh, 10**30)
+    assert fresh._complex is None  # the verdict walk answered, not the full one
+    full = cell_complex(p, 10**30)
+    assert verdict == (full.pure, full.tropical_dim)
+    assert tropical_dimension(twin, 10**30) == full.tropical_dim
 
 
-def test_covering_summary_is_memoised_and_guard_still_applies():
+def _profile(face, m, n):
+    return tuple(sum(1 << q for q in range(n) if i in face.covector[q]) for i in range(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        _polytopes(4, 4, st.integers(-2, 2), (1, 2, 3, 7)),
+        _polytopes(4, 4, st.integers(-20, 20), (1, 2, 3, 7)),
+    )
+)
+def test_has_larger_finds_exactly_the_covering_cells_strictly_inside(p):
+    n = p.ambient
+    m = len(p.extremals().generators)
+    profiles = [_profile(f, m, n) for f in cell_complex(p).covering_faces()]
+    run = _profile_walk(_scaled(p)[0], n)
+    for acc in profiles:
+        inside = any(t != acc and all(a & ~b == 0 for a, b in zip(t, acc)) for t in profiles)
+        assert _has_larger(run, acc) == inside
+
+
+def test_impure_verdict_stops_before_the_last_covering_cell(monkeypatch):
+    # a (5, 4) polytope, impure of dimension 4: the walk stops at an
+    # impurity certificate, so it decodes fewer witnesses than there are
+    # covering cells
+    gens = random_polytope(5, 4, seed=5, lo=-20, hi=20).generators
+    full = cell_complex(Polytope(gens))
+    assert (full.pure, full.tropical_dim) == (False, 4)
+    calls = []
+    real = cells._witness
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cells, "_witness", counted)
+    assert pure_dimension(Polytope(gens)) == (False, 4)
+    assert 0 < len(calls) < len(full.covering_faces())
+
+
+def test_covering_summary_is_memoised_and_guard_still_applies(monkeypatch):
     p = random_polytope(3, 3, seed=22)
     full = cell_complex(random_polytope(3, 3, seed=22))
     assert pure_dimension(p) == (full.pure, full.tropical_dim)
     assert p._complex is None
+    assert p._covering == (full.pure, full.tropical_dim)
     first = p._covering
     for route in (pure_dimension, tropical_dimension):
         with pytest.raises(ScaleLimitExceeded):
             route(p, max_tuples=10)
     assert tropical_dimension(p) == full.tropical_dim
     assert p._covering is first
-    # with the full complex memoised first, the summary is read off it
+    # with the full complex memoised first, the verdict is read off it
     q = random_polytope(3, 3, seed=22)
-    faces = cell_complex(q).covering_faces()
+    cell_complex(q)
+    monkeypatch.setattr(cells, "_walk_verdict", None)
     assert tropical_dimension(q) == full.tropical_dim
-    assert len(q._covering.faces) == len(faces)
-    assert all(a is b for a, b in zip(q._covering.faces, faces))
+    assert q._covering == (full.pure, full.tropical_dim)
 
 
 def _outcome(route, generators):

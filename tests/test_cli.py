@@ -1,11 +1,18 @@
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropcheck import BOTTOM, Matrix, column_space, is_projective, row_space
+from tropcheck.cells import _below_sentinel
 from tropcheck.cli import SUITE_NAMES, main
 from tropcheck.documents import (
     MalformedDocument,
@@ -463,3 +470,121 @@ def test_module_entry_point(tmp_path, golden_doc):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["idempotent"] is True
+
+
+# -- mutated documents for every subcommand that reads one
+#
+# The oracle subcommand reads no document.  Exit 5 is the known cells._INF
+# defect (test_overflowing_bounds_known_defect): it is accepted only where the
+# walk's scaled values can reach that sentinel, and it must still be one line.
+
+_BASE_DOCS = {
+    "matrix": {"rows": 3, "cols": 3, "entries": [[0, -1, "1/2"], [-2, 0, 3], [1, "-inf", 0]]},
+    "polytope": {"ambient": 3, "generators": [[0, -1, "1/2"], [-2, 0, 3], [1, 1, 0]]},
+}
+_COMMANDS = (
+    (("analyze",), "matrix"),
+    (("analyze", "--regularity"), "matrix"),
+    (("polytope",), "polytope"),
+    (("faces",), "polytope"),
+    (("plot",), "polytope"),
+)
+_RAW = "@raw{}@"  # a placeholder for a JSON integer json.dumps cannot write
+
+
+def _huge(digits):
+    return st.one_of(
+        st.just(_RAW.format(digits)),
+        st.just("-" + "7" * digits),
+        st.just("1/" + "3" * digits),
+        st.just("9" * digits + "/7"),
+    )
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6),
+    st.builds(list),
+    st.builds(dict),
+    st.sampled_from(["-inf", "inf", "+inf", "nan", "", " 1", "1/0", "0/1", "-0", "1e3", "0x10"]),
+    st.sampled_from(["\u0661\u0662", "1/\u0663", "\uff11", "\u00bd", "\u00b2", "\u0967"]),
+    st.integers(20, 6000).flatmap(_huge),
+)
+
+
+@st.composite
+def _mutated(draw, kind):
+    """The base document of `kind` under one to three mutations: wrong
+    types, ragged rows, huge and non-ASCII numerals, misplaced -inf and
+    extra keys, as JSON text."""
+    doc = json.loads(json.dumps(_BASE_DOCS[kind]))
+    rows_key = "entries" if kind == "matrix" else "generators"
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(doc, dict):
+            break
+        rows = doc.get(rows_key)
+        grid = isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)
+        how = draw(st.sampled_from(["entry", "field", "drop", "extra", "ragged", "row", "whole"]))
+        if how == "entry" and grid and all(rows):
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(0, len(row) - 1))] = draw(_SCALARS)
+        elif how == "field" and doc:
+            doc[draw(st.sampled_from(sorted(doc)))] = draw(_SCALARS | st.builds(lambda: [[0, 0, 0]]))
+        elif how == "drop" and doc:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif how == "extra":
+            doc[draw(st.sampled_from(["extra", "ambient", "rows", "cols", ""]))] = draw(_SCALARS)
+        elif how == "ragged" and grid:
+            row = draw(st.sampled_from(rows))
+            if row and draw(st.booleans()):
+                row.pop()
+            else:
+                row.append(draw(_SCALARS))
+        elif how == "row" and isinstance(rows, list) and rows:
+            if draw(st.booleans()):
+                rows.pop()
+            else:
+                rows.append(list(rows[0]) if isinstance(rows[0], list) else rows[0])
+        elif how == "whole":
+            doc = draw(_SCALARS | st.just(list(doc.values())))
+    text = json.dumps(doc, ensure_ascii=draw(st.booleans()))
+    text = re.sub(r'"@raw(\d+)@"', lambda match: "9" * int(match.group(1)), text)
+    return text
+
+
+@st.composite
+def _cases(draw):
+    argv, kind = draw(st.sampled_from(_COMMANDS))
+    return list(argv), kind, draw(_mutated(kind))
+
+
+def _past_the_sentinel(kind, text):
+    """Can the cell walk's scaled values reach cells._INF on this document:
+    the polytope's, or for analyze the matrix's row space?"""
+    doc = json.loads(text)
+    if kind == "matrix":
+        return not _below_sentinel(row_space(matrix_from_document(doc)))
+    return not _below_sentinel(polytope_from_document(doc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases())
+def test_mutated_documents_exit_with_a_documented_code(case):
+    argv, kind, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "doc.json"
+        source.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main([*argv, "--input", str(source), "--output", str(Path(tmp) / "out")])
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+        return
+    assert code in (2, 3, 4, 5, 6)
+    assert err.startswith("tropcheck: ") and err.endswith("\n") and err.count("\n") == 1
+    if code == 5:
+        assert err.startswith("tropcheck: internal check failed: ")
+        assert _past_the_sentinel(kind, text)

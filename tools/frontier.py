@@ -13,7 +13,9 @@ anew so that no memo answers, gets its answer in under LIMIT_S seconds.
 The first shape over the limit ends the row; a row that reaches MAX_M
 reports it, as a lower bound.  Two routes are timed:
 `cell_complex`, which enumerates every cell, and `pure_dimension`, which
-reads the covering cells alone.  Both are called with the nominal
+walks the covering cells alone and stops at the first proof of impurity
+(see `cells._walk_verdict`), so an impure shape may be answered long
+before its covering cells are all listed.  Both are called with the nominal
 `max_tuples` profile bound lifted (UNBOUNDED), so the clock alone decides.
 At the default bound of 10^7 both refuse, with ScaleLimitExceeded, every
 shape whose (2^n - 1)^m exceeds it: (5,5), (6,4), (7,4), (8,3) and up.
