@@ -6,7 +6,8 @@ additive identity.  Everything is exact rational arithmetic.
 
 from fractions import Fraction
 
-from tropcheck import BOTTOM, Matrix, double_residual, left_residual, tadd, tmul
+from tropcheck import BOTTOM, Matrix, double_residual, left_residual
+from tropcheck.semiring import tadd, tmul
 
 print("scalars")
 print("  2 (+) 5   =", tadd(2, 5), "      (tropical sum = max)")

@@ -25,14 +25,11 @@ from .cells import (
     CellComplex,
     DEFAULT_MAX_TUPLES,
     Face,
-    argmin_profile,
     cell_complex,
     covector,
-    covector_dimension,
     covector_leq,
     descend_to_singletons,
     pure_dimension,
-    realize_profile,
     tropical_dimension,
 )
 from .errors import (
@@ -67,13 +64,11 @@ from .semiring import (
     left_residual,
     parse_entry,
     right_residual,
-    tadd,
-    tmul,
     vec_leq,
     vec_max,
     vec_min,
     vec_scale,
 )
-from .svgplot import projectivise, render_polytope_svg
+from .svgplot import render_polytope_svg
 
 __version__ = "0.1.0"

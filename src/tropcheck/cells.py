@@ -41,6 +41,13 @@ common scale 4 * _UNIT * denom, its argmin masks are recomputed in ints
 and compared with the cell's own, and it becomes a tuple of Fractions only
 on the Face.
 
+Argmin sets have one representation and one route: `_argmin_masks` gives
+a point's bitmask per generator, on ints or Fractions, and `_cover_bits`
+transposes masks into the covector as one generator bitmask per
+coordinate.  The witness re-check, the faces, `argmin_profile`,
+`covector` and `descend_to_singletons` all go through them; frozensets
+are built only for returned values.
+
 Tropical dimension and purity ask only for the verdict (pure, dim), and a
 walk pruned to covering cells settles it, often early.  At a node, when
 some coordinate no chosen mask covers yet is dead for every remaining
@@ -91,30 +98,49 @@ _INF = 1 << 62
 # covectors
 
 
-def _argmin_profile(x, gens):
+def _argmin_masks(x, gens):
+    """One bitmask per generator g: the coordinates q where x_q - g_q is
+    least.  The only argmin loop; x and gens are ints or Fractions alike."""
     out = []
     for g in gens:
-        diffs = [xq - gq for xq, gq in zip(x, g)]
+        diffs = [a - b for a, b in zip(x, g)]
         low = min(diffs)
-        out.append(frozenset(q for q, d in enumerate(diffs) if d == low))
+        bits = 0
+        for q, d in enumerate(diffs):
+            if d == low:
+                bits |= 1 << q
+        out.append(bits)
     return tuple(out)
 
 
-def _profile_covector(profile, n: int):
-    return tuple(frozenset(i for i, a in enumerate(profile) if p in a) for p in range(n))
+def _cover_bits(masks, n):
+    """The transpose of argmin masks: for each coordinate p, the bitmask of
+    the generators whose mask holds p, which is the covector as bits."""
+    cov = [0] * n
+    for i, a in enumerate(masks):
+        while a:
+            low = a & -a
+            cov[low.bit_length() - 1] |= 1 << i
+            a ^= low
+    return cov
+
+
+def _bit_set(bits):
+    """The set of positions of a bitmask."""
+    return frozenset(q for q in range(bits.bit_length()) if bits >> q & 1)
 
 
 def argmin_profile(x, polytope: Polytope):
     """Per-generator argmin sets of x - g_i, indexed like the canonical generators."""
     x = as_vector(x, finite=True, length=polytope.ambient)
-    return _argmin_profile(x, polytope.extremals().generators)
+    return tuple(map(_bit_set, _argmin_masks(x, polytope.extremals().generators)))
 
 
 def covector(x, polytope: Polytope):
     """The covector of x relative to the canonical extremal generators."""
     x = as_vector(x, finite=True, length=polytope.ambient)
-    gens = polytope.extremals().generators
-    return _profile_covector(_argmin_profile(x, gens), polytope.ambient)
+    masks = _argmin_masks(x, polytope.extremals().generators)
+    return tuple(map(_bit_set, _cover_bits(masks, polytope.ambient)))
 
 
 def covector_leq(s, t) -> bool:
@@ -280,16 +306,7 @@ def _witness(dist, n, lifted, scale, masks):
         best = min(dist[a::n])
         c = -((-best) // _UNIT)
         nums.append(4 * _UNIT * c - (c * _UNIT - best))
-    for g, want in zip(lifted, masks):
-        diffs = [x - y for x, y in zip(nums, g)]
-        low = min(diffs)
-        bits = 0
-        for q, d in enumerate(diffs):
-            if d == low:
-                bits |= 1 << q
-        if bits != want:
-            return None
-    return nums
+    return nums if _argmin_masks(nums, lifted) == tuple(masks) else None
 
 
 def realize_profile(profile, polytope: Polytope):
@@ -458,7 +475,7 @@ def _profile_walk(scaled, n):
     """
     m = len(scaled)
     units = [[_UNIT * v for v in vi] for vi in scaled]
-    sets = [frozenset(q for q in range(n) if mask >> q & 1) for mask in range(1 << n)]
+    sets = [_bit_set(mask) for mask in range(1 << n)]
     table = [[None] + [_star(vi, sets[mask], n) for mask in range(1, 1 << n)] for vi in scaled]
 
     def run(leaf, room, covering):
@@ -487,7 +504,7 @@ def _compute_complex(polytope: Polytope) -> CellComplex:
     scaled, lifted, scale = _scaled(polytope)
     m = len(scaled)
     full = (1 << n) - 1
-    members = [frozenset(i for i in range(m) if bits >> i & 1) for bits in range(1 << m)]
+    members = [_bit_set(bits) for bits in range(1 << m)]
     # faces sort by covector, each component taken as its sorted tuple of
     # generators; rank[bits] is the place of that tuple among all of them
     rank = [0] * (1 << m)
@@ -500,14 +517,7 @@ def _compute_complex(polytope: Polytope) -> CellComplex:
         nums = _witness(dist, n, lifted, scale, acc)
         if nums is None:
             raise AssertionError("cell witness failed to realise its own profile")
-        cov = [0] * n
-        union = 0
-        for i, a in enumerate(acc):
-            union |= a
-            while a:
-                low = a & -a
-                cov[low.bit_length() - 1] |= 1 << i
-                a ^= low
+        cov = _cover_bits(acc, n)
         witness = []
         for v in nums:
             x = values.get(v)
@@ -518,7 +528,7 @@ def _compute_complex(polytope: Polytope) -> CellComplex:
             covector=tuple(members[bits] for bits in cov),
             witness=tuple(witness),
             dim=_mask_dimension(acc, n),
-            covering=union == full,
+            covering=all(cov),
         )
         keyed.append((tuple(rank[bits] for bits in cov), face))
 
@@ -660,16 +670,13 @@ def descend_to_singletons(e: Matrix, x):
     z = x
     for _ in range(r * r * n + 1):
         lams = _principal(z, gens)
-        cov = _profile_covector(_argmin_profile(z, gens), n)
-        triple = None
-        for p in range(n):
-            members = sorted(cov[p])
-            if len(members) >= 2:
-                triple = (members[0], members[1], p)
-                break
-        if triple is None:
+        shared = next((bits for bits in _cover_bits(_argmin_masks(z, gens), n) if bits & (bits - 1)), 0)
+        if not shared:
             return z
-        i, j, _p = triple
+        # the two lowest generators sharing the first shared coordinate
+        i = (shared & -shared).bit_length() - 1
+        shared &= shared - 1
+        j = (shared & -shared).bit_length() - 1
         # orient the pair so that generator i undershoots z at j's own coordinate
         if not lams[i] + gens[i][picked[j]] < z[picked[j]]:
             i, j = j, i

@@ -266,17 +266,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def io_flags(p, needs_max_tuples=True):
+    def io_flags(p):
         p.add_argument("--input", "-i", default="-", help="input JSON document (default stdin)")
         p.add_argument("--output", "-o", default="-", help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        if needs_max_tuples:
-            p.add_argument(
-                "--max-tuples",
-                type=_positive_int,
-                default=DEFAULT_MAX_TUPLES,
-                help="bound on enumerated argmin profiles",
-            )
+        p.add_argument(
+            "--max-tuples",
+            type=_positive_int,
+            default=DEFAULT_MAX_TUPLES,
+            help="bound on enumerated argmin profiles",
+        )
 
     analyze = sub.add_parser("analyze", help="analyze a matrix document")
     io_flags(analyze)

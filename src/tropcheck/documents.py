@@ -77,13 +77,6 @@ def matrix_from_document(doc) -> Matrix:
     return Matrix._raw(tuple(parsed))
 
 
-def polytope_to_document(p: Polytope) -> dict:
-    return {
-        "ambient": p.ambient,
-        "generators": [[entry_to_json(e) for e in g] for g in p.generators],
-    }
-
-
 def polytope_from_document(doc) -> Polytope:
     if not isinstance(doc, dict):
         raise MalformedDocument("a polytope document is a JSON object")

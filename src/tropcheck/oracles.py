@@ -8,13 +8,16 @@ The suites pit independently implemented routes against each other (the
 algebraic projectivity pipeline vs the geometric cell computation, the
 residuation rank vs the permanent-style submatrix oracle, and so on) and
 report any disagreement; an empty failure list is the pass condition.
+Each suite is a generator body registered by `_suite`, which owns the
+rest: the `SUITES` entry, the `random.Random(seed)` the body draws its
+instances from, the failure list and the summary.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -108,43 +111,25 @@ def _random_ints(polytope: Polytope, rng, lo=-5, hi=5):
     return _combine(lams, gens, polytope.ambient)
 
 
-def exhaustive_matrices(n: int, entry_set):
-    """Every n x n matrix with entries drawn from the finite entry_set."""
-    values = [Fraction(v) for v in entry_set]
-    for combo in itertools.product(values, repeat=n * n):
-        yield Matrix._raw(tuple(combo[i * n : (i + 1) * n] for i in range(n)))
+def _source(seed):
+    """The random.Random a corpus draws from: `seed` itself when it is one,
+    else a new one seeded with it."""
+    return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """A reproducible bundle of instances: the same arguments rebuild it
-    identically."""
-
-    instances: tuple
-
-
-def polytope_corpus(seed: int, count: int, max_n=4, max_m=4, lo=-5, hi=5) -> Corpus:
-    rng = random.Random(seed)
-    instances = tuple(
+def polytope_corpus(seed, count: int, max_n=4, max_m=4, lo=-5, hi=5) -> tuple:
+    """`count` random polytopes; `seed` is an int or a random.Random."""
+    rng = _source(seed)
+    return tuple(
         random_polytope(rng.randint(1, max_n), rng.randint(1, max_m), rng=rng, lo=lo, hi=hi)
         for _ in range(count)
     )
-    return Corpus(instances)
 
 
-def idempotent_corpus(seed: int, count: int, max_n=4, lo=-5, full_rank=False) -> Corpus:
-    rng = random.Random(seed)
-    instances = tuple(
-        random_idempotent(rng.randint(1, max_n), rng=rng, lo=lo, full_rank=full_rank)
-        for _ in range(count)
-    )
-    return Corpus(instances)
-
-
-def regular_corpus(seed: int, count: int, max_n=4, lo=-3, hi=3) -> Corpus:
+def regular_corpus(seed, count: int, max_n=4, lo=-3, hi=3) -> tuple:
     """Regular square matrices: metric closures plus instances found by
-    random search, in alternation."""
-    rng = random.Random(seed)
+    random search, in alternation; `seed` is an int or a random.Random."""
+    rng = _source(seed)
     instances = []
     while len(instances) < count:
         n = rng.randint(1, max_n)
@@ -158,7 +143,7 @@ def regular_corpus(seed: int, count: int, max_n=4, lo=-3, hi=3) -> Corpus:
                 found = candidate
                 break
         instances.append(found if found is not None else random_idempotent(n, rng=rng, lo=lo))
-    return Corpus(tuple(instances))
+    return tuple(instances)
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +216,45 @@ def _mat_doc(a: Matrix):
     return [[str(e) for e in row] for row in a.entries]
 
 
-def suite_projectivity_geometry(seed=0, count=200, n=4, m=4) -> dict:
+SUITES = {}
+
+
+def _suite(name: str):
+    """Register a suite body under `name`.
+
+    The registered function takes (seed=0, count=200, n=4, m=4) and the
+    body's own keywords.  It calls body(random.Random(seed), count, n,
+    ...), passing `m` only to a body that declares it, and returns
+    {"suite": name, "instances": count, "failures": [...]}, the failures
+    being what the body yields, one dict per failing instance.
+    """
+
+    def register(body):
+        takes_m = "m" in inspect.signature(body).parameters
+
+        def run(seed=0, count=200, n=4, m=4, **options):
+            if takes_m:
+                options["m"] = m
+            failures = list(body(random.Random(seed), count, n, **options))
+            return {"suite": name, "instances": count, "failures": failures}
+
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        SUITES[name] = run
+        return run
+
+    return register
+
+
+@_suite("projectivity-geometry")
+def suite_projectivity_geometry(rng, count, n, m):
     """Algebraic projectivity vs pure dimension = generator = dual dimension."""
-    corpus = polytope_corpus(seed, count, max_n=n, max_m=m)
-    failures = []
-    for p in corpus.instances:
+    for p in polytope_corpus(rng, count, max_n=n, max_m=m):
         algebraic = is_projective(p).projective
         pure, dim = pure_dimension(p)
         geometric = pure and dim == p.generator_dimension() == p.dual_dimension()
         if algebraic != geometric:
-            failures.append(
-                {"generators": _poly_doc(p), "algebraic": algebraic, "geometric": geometric}
-            )
-    return {"suite": "projectivity-geometry", "instances": len(corpus.instances), "failures": failures}
+            yield {"generators": _poly_doc(p), "algebraic": algebraic, "geometric": geometric}
 
 
 def full_dimension_polytope(rng, n: int, lo=-5, hi=5) -> Polytope:
@@ -255,47 +266,36 @@ def full_dimension_polytope(rng, n: int, lo=-5, hi=5) -> Polytope:
     raise AssertionError(f"no full-dimension polytope found in {_FULL_DIMENSION_ATTEMPTS} draws")
 
 
-def suite_projectivity_order(seed=0, count=200, n=4, m=None, refute_samples=200) -> dict:
+@_suite("projectivity-order")
+def suite_projectivity_order(rng, count, n, refute_samples=200):
     """Projectivity vs min-plus convexity on full-dimension polytopes,
     with the sampling refuter as a soundness check on the convex verdicts."""
-    del m
-    rng = random.Random(seed)
-    failures = []
     for _ in range(count):
-        k = rng.randint(1, n)
-        p = full_dimension_polytope(rng, k)
+        p = full_dimension_polytope(rng, rng.randint(1, n))
         projective = is_projective(p).projective
         convex = p.is_min_plus_convex()
         if projective != convex:
-            failures.append(
-                {"generators": _poly_doc(p), "projective": projective, "min_plus_convex": convex}
-            )
+            yield {"generators": _poly_doc(p), "projective": projective, "min_plus_convex": convex}
         elif convex and minplus_sampling_refuter(p, refute_samples, rng=rng) is not None:
-            failures.append({"generators": _poly_doc(p), "problem": "refuted a convex verdict"})
-    return {"suite": "projectivity-order", "instances": count, "failures": failures}
+            yield {"generators": _poly_doc(p), "problem": "refuted a convex verdict"}
 
 
-def suite_rank_equality(seed=0, count=200, n=4, m=None) -> dict:
+@_suite("rank-equality")
+def suite_rank_equality(rng, count, n):
     """On regular matrices all three ranks agree, and the tropical rank
     matches the permutation-uniqueness oracle."""
-    del m
-    corpus = regular_corpus(seed, count, max_n=n)
-    failures = []
-    for a in corpus.instances:
+    for a in regular_corpus(rng, count, max_n=n):
         report = rank_report(a)
         oracle = tropical_rank_oracle(a)
         if not report.all_equal or report.tropical_rank != oracle:
-            failures.append({"matrix": _mat_doc(a), "report": vars(report), "oracle": oracle})
-    return {"suite": "rank-equality", "instances": len(corpus.instances), "failures": failures}
+            yield {"matrix": _mat_doc(a), "report": vars(report), "oracle": oracle}
 
 
-def suite_idempotent_column_space(seed=0, count=200, n=4, m=None, dominate_samples=100) -> dict:
+@_suite("idempotent-column-space")
+def suite_idempotent_column_space(rng, count, n, dominate_samples=100):
     """Structure of full-rank idempotent column spaces: zero-diagonal
     extremal columns, inflation, min-plus convexity of both spaces, least
     dominating point, exact recovery, and pure dimension equal to rank."""
-    del m
-    rng = random.Random(seed)
-    failures = []
     for _ in range(count):
         k = rng.randint(1, n)
         e = random_idempotent(k, rng=rng, full_rank=True)
@@ -336,16 +336,13 @@ def suite_idempotent_column_space(seed=0, count=200, n=4, m=None, dominate_sampl
             problems.append("pure dimension must equal the rank")
 
         if problems:
-            failures.append({"matrix": _mat_doc(e), "problems": problems})
-    return {"suite": "idempotent-column-space", "instances": count, "failures": failures}
+            yield {"matrix": _mat_doc(e), "problems": problems}
 
 
-def suite_singleton_descent(seed=0, count=200, n=4, m=None) -> dict:
+@_suite("singleton-descent")
+def suite_singleton_descent(rng, count, n):
     """The descent returns a member with an all-singleton covector
     contained in the covector of the start point."""
-    del m
-    rng = random.Random(seed)
-    failures = []
     for _ in range(count):
         k = rng.randint(1, n)
         e = random_idempotent(k, rng=rng, full_rank=bool(rng.getrandbits(1)))
@@ -361,48 +358,31 @@ def suite_singleton_descent(seed=0, count=200, n=4, m=None) -> dict:
         if y not in space:
             problems.append("result left the column space")
         if problems:
-            failures.append({"matrix": _mat_doc(e), "point": [str(v) for v in x], "problems": problems})
-    return {"suite": "singleton-descent", "instances": count, "failures": failures}
+            yield {"matrix": _mat_doc(e), "point": [str(v) for v in x], "problems": problems}
 
 
-def suite_top_cell(seed=0, count=200, n=4, m=None) -> dict:
+@_suite("top-cell")
+def suite_top_cell(rng, count, n):
     """A polytope in FT^n with at most n generators has at most one cell of
     dimension n."""
-    del m
-    rng = random.Random(seed)
-    failures = []
     for _ in range(count):
         k = rng.randint(1, n)
         p = random_polytope(k, rng.randint(1, k), rng=rng)
         tops = [f for f in cell_complex(p).faces if f.covering and f.dim == k]
         if len(tops) > 1:
-            failures.append({"generators": _poly_doc(p), "top_cells": len(tops)})
-    return {"suite": "top-cell", "instances": count, "failures": failures}
+            yield {"generators": _poly_doc(p), "top_cells": len(tops)}
 
 
-def suite_rank_oracle(seed=0, count=200, n=4, m=4) -> dict:
+@_suite("rank-oracle")
+def suite_rank_oracle(rng, count, n, m):
     """On arbitrary matrices the cell-complex tropical rank agrees with the
     permutation-uniqueness oracle."""
-    rng = random.Random(seed)
-    failures = []
     for _ in range(count):
         a = random_matrix(rng.randint(1, n), rng.randint(1, m), rng=rng)
         computed = rank_report(a).tropical_rank
         oracle = tropical_rank_oracle(a)
         if computed != oracle:
-            failures.append({"matrix": _mat_doc(a), "computed": computed, "oracle": oracle})
-    return {"suite": "rank-oracle", "instances": count, "failures": failures}
-
-
-SUITES = {
-    "projectivity-geometry": suite_projectivity_geometry,
-    "projectivity-order": suite_projectivity_order,
-    "rank-equality": suite_rank_equality,
-    "rank-oracle": suite_rank_oracle,
-    "idempotent-column-space": suite_idempotent_column_space,
-    "singleton-descent": suite_singleton_descent,
-    "top-cell": suite_top_cell,
-}
+            yield {"matrix": _mat_doc(a), "computed": computed, "oracle": oracle}
 
 
 def run_suite(name: str, *, seed=0, count=200, n=4, m=4) -> dict:

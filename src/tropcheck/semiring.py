@@ -352,11 +352,6 @@ class Matrix:
         x = as_vector(x, length=self.rows)
         return Matrix._raw((x,)).mul(self).row(0)
 
-    def leq(self, other: "Matrix") -> bool:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("order comparison needs equal shapes")
-        return all(a <= b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb))
-
     # -- value semantics
 
     def __eq__(self, other):

@@ -20,9 +20,7 @@ from tropcheck import (
     row_space,
 )
 from tropcheck.cli import main
-from tropcheck.documents import polytope_to_document
 from tropcheck.oracles import (
-    exhaustive_matrices,
     suite_idempotent_column_space,
     suite_projectivity_geometry,
     suite_projectivity_order,
@@ -30,6 +28,8 @@ from tropcheck.oracles import (
     suite_singleton_descent,
     suite_top_cell,
 )
+
+from support import exhaustive_matrices, polytope_to_document
 
 GOLDEN = Matrix([[0, -3, -3], [0, 0, -3], [0, 0, 0]])
 

@@ -12,16 +12,13 @@ from tropcheck import (
     NotMember,
     Polytope,
     ScaleLimitExceeded,
-    argmin_profile,
     cell_complex,
     column_space,
     covector,
-    covector_dimension,
     covector_leq,
     descend_to_singletons,
     is_projective,
     pure_dimension,
-    realize_profile,
     regularity_witness,
     row_space,
     tropical_dimension,
@@ -37,9 +34,14 @@ from tropcheck.cells import (
     _profile_walk,
     _scaled,
     _star,
+    argmin_profile,
+    covector_dimension,
+    realize_profile,
 )
 from tropcheck.oracles import random_idempotent, random_matrix, random_point, random_polytope
 from tropcheck.polytopes import canonical_point
+
+from support import idempotent_corpus
 
 
 # -- covectors
@@ -72,6 +74,44 @@ def test_zero_diagonal_columns_appear_in_their_own_component():
         cov = covector(x, p)
         for i, g in enumerate(gens):
             assert i in cov[slot[g]]
+
+
+# the frozenset route that cells._argmin_masks and cells._cover_bits
+# replaced, kept as the oracle for the masks
+
+
+def _argmin_profile(x, gens):
+    out = []
+    for g in gens:
+        diffs = [xq - gq for xq, gq in zip(x, g)]
+        low = min(diffs)
+        out.append(frozenset(q for q, d in enumerate(diffs) if d == low))
+    return tuple(out)
+
+
+def _profile_covector(profile, n: int):
+    return tuple(frozenset(i for i, a in enumerate(profile) if p in a) for p in range(n))
+
+
+def _assert_matches_the_set_route(x, p):
+    expected = _argmin_profile(x, p.extremals().generators)
+    assert argmin_profile(x, p) == expected
+    assert covector(x, p) == _profile_covector(expected, p.ambient)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_argmin_sets_match_the_set_route_on_tie_heavy_points(data):
+    # entries in [-2, 2] over {1, 2}: most points tie somewhere
+    entry = _rationals(st.integers(-2, 2), (1, 2))
+    p = data.draw(_polytopes(5, 5, st.integers(-2, 2), (1, 2)))
+    _assert_matches_the_set_route(tuple(data.draw(entry) for _ in range(p.ambient)), p)
+
+
+def test_argmin_sets_match_the_set_route_on_face_witnesses():
+    for p in _pinned_polytopes():
+        for face in cell_complex(p).faces:
+            _assert_matches_the_set_route(face.witness, p)
 
 
 def test_covector_dimension_examples():
@@ -306,13 +346,14 @@ def _covector_dimension_oracle(cov):
 
 def test_face_bookkeeping_matches_the_covector_route():
     # dims, covectors and witnesses come from argmin bitmasks; recompute
-    # them from the witness point on every face, up to n = 5
+    # them from the witness point on every face by the set route, up to n = 5
     rng = random.Random(30)
     for k in range(24):
         lo, hi = (-2, 2) if k % 2 else (-20, 20)
         p = random_polytope(rng.randint(1, 5), rng.randint(1, 4), rng=rng, lo=lo, hi=hi, max_den=1 + k % 7)
+        gens = p.extremals().generators
         for face in cell_complex(p).faces:
-            assert covector(face.witness, p) == face.covector
+            assert _profile_covector(_argmin_profile(face.witness, gens), p.ambient) == face.covector
             assert face.dim == _covector_dimension_oracle(face.covector)
             assert face.covering == all(face.covector)
 
@@ -785,6 +826,21 @@ def test_conjugated_idempotents_keep_all_structure():
         cov = covector(y, space)
         assert all(len(c) == 1 for c in cov)
         assert covector_leq(cov, covector(x, space))
+
+
+# sha256 over repr(descend_to_singletons(e, x)) of _descents(), as first
+# computed by the frozenset covector route: the mask route must not move a byte
+PINNED_DESCENTS = "73b0dc91bbe8ffbed58bb7bd63c9e90f543804d4eb3daae5327f2e4bb8c4bde2"
+
+
+def test_descent_bytes_are_pinned():
+    digest = hashlib.sha256()
+    rng = random.Random(32)
+    for full_rank in (False, True):
+        for e in idempotent_corpus(32 + full_rank, 60, max_n=5, full_rank=full_rank):
+            x = random_point(column_space(e), rng=rng)
+            digest.update(repr(descend_to_singletons(e, x)).encode())
+    assert digest.hexdigest() == PINNED_DESCENTS
 
 
 def test_descent_rejects_bad_input(golden_idempotent):

@@ -19,9 +19,10 @@ from tropcheck.documents import (
     matrix_from_document,
     matrix_to_document,
     polytope_from_document,
-    polytope_to_document,
 )
 from tropcheck.oracles import SUITES, random_polytope
+
+from support import polytope_to_document
 
 
 def write_doc(tmp_path, name, payload):
