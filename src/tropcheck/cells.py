@@ -34,7 +34,8 @@ r of S, so a new negative cycle runs r -> u in S (free), then a closed path
 u -> q (cost D[u][q]), then q -> r (free when q is in S, one strictness
 unit when it is not).  One pass over the subsets of the live coordinates
 lists the feasible masks.  Each of them enters the closure in one star
-step at r: the best bounds out of r and into r, then one O(n^2) pass.
+step at r, its edges read off the scaled generator and the mask: the best
+bounds out of r and into r, then one O(n^2) pass.
 Covectors, dimensions and covering flags come from the masks; each
 cell's witness is decoded from its closure as integer numerators over the
 common scale 4 * _UNIT * denom, its argmin masks are recomputed in ints
@@ -48,14 +49,15 @@ coordinate.  The witness re-check, the faces, `argmin_profile`,
 `covector` and `descend_to_singletons` all go through them; frozensets
 are built only for returned values.
 
-Tropical dimension and purity ask only for the verdict (pure, dim), and a
-walk pruned to covering cells settles it, often early.  At a node, when
-some coordinate no chosen mask covers yet is dead for every remaining
-generator, no mask below the node can take it, since closure entries only
-fall with depth, so the node is dropped; at the last generator only masks
-covering the rest are kept.  A covering cell has at most min(n, m)
-dimensions: its m masks cover all n coordinates, so they merge into at
-most min(n, m) components.  Profiles ordered by inclusion, mask by mask,
+One depth-first walk, `_walk`, serves the full complex, the verdict and
+its sub-searches.  Tropical dimension and purity ask only for the verdict
+(pure, dim), and the walk pruned to covering cells settles it, often
+early.  At a node, when some coordinate no chosen mask covers yet is dead
+for every remaining generator, no mask below the node can take it, since
+closure entries only fall with depth, so the node is dropped; at the last
+generator only masks covering the rest are kept.  A covering cell has at
+most min(n, m) dimensions: its m masks cover all n coordinates, so they
+merge into at most min(n, m) components.  Profiles ordered by inclusion, mask by mask,
 give the face order (Develin-Sturmfels): a profile inside another is the
 type of a cell whose closure holds the other's.  So once a leaf of
 dimension min(n, m) has appeared, a lower-dimensional covering leaf with
@@ -63,9 +65,11 @@ no covering profile strictly inside its own lies in the closure of no top
 cell, and the polytope is impure of dimension min(n, m); the walk stops
 there.  Leaves are packed as keys sum(mask_i << n*i), on which "t inside
 f" reads t & ~f == 0; every leaf's witness is still decoded and
-re-checked.  The pruned walk runs only where no value it forms can reach
-_INF (`_below_sentinel`); elsewhere the verdict comes from the full
-complex, whose witness re-check on every face reports such a collision.
+re-checked.  The full complex records the keys of its covering faces too,
+and both settle (pure, dim) on them in one place, `_settle`.  The pruned
+walk runs only where no value it forms can reach _INF (`_below_sentinel`);
+elsewhere the verdict comes from the full complex, whose witness re-check
+on every face reports such a collision.
 """
 
 from __future__ import annotations
@@ -152,9 +156,9 @@ def covector_leq(s, t) -> bool:
 
 def covector_dimension(cov) -> int:
     """Affine dimension of the cell: components of the coordinate graph."""
-    n = len(cov)
-    masks = [sum(1 << p for p in range(n) if i in cov[p]) for i in set().union(*cov)]
-    return _mask_dimension(masks, n)
+    bits = [sum(1 << i for i in c) for c in cov]
+    masks = [a for a in _cover_bits(bits, max(bits, default=0).bit_length()) if a]
+    return _mask_dimension(masks, len(cov))
 
 
 # ---------------------------------------------------------------------------
@@ -163,34 +167,11 @@ def covector_dimension(cov) -> int:
 
 def _scaled(polytope: Polytope):
     """The canonical extremal generators as ints over their own common
-    denominator (the frame of `polytope.extremals()`); the same ints lifted
-    to the witness scale 4 * _UNIT * denom; and that scale."""
+    denominator (the frame of `polytope.extremals()`) times _UNIT; the same
+    ints lifted to the witness scale 4 * _UNIT * denom; and that scale."""
     denom, scaled = polytope.extremals()._ints()
-    return scaled, [[4 * _UNIT * v for v in g] for g in scaled], 4 * _UNIT * denom
-
-
-def _star(vi, members, n):
-    """The constraints of one argmin set, all at its lowest member r.
-
-    A bound x_b - x_a <= c is an edge a -> b of cost c; strict edges pay
-    one strictness unit.  Equalities inside the argmin set become the pair
-    b -> r, r -> b and every outside coordinate q a strict edge q -> r, so
-    each edge touches r.  Returns (r, ins, outs) with ins the edges
-    (w, c) into r and outs the edges (u, c) out of r.
-    """
-    rep = min(members)
-    ins = []
-    outs = []
-    for q in range(n):
-        if q == rep:
-            continue
-        c = (vi[rep] - vi[q]) * _UNIT
-        if q in members:
-            ins.append((q, c))
-            outs.append((q, -c))
-        else:
-            ins.append((q, c - 1))
-    return rep, ins, outs
+    units = [[_UNIT * v for v in g] for g in scaled]
+    return units, [[4 * v for v in g] for g in units], 4 * _UNIT * denom
 
 
 def _fresh(n):
@@ -200,21 +181,32 @@ def _fresh(n):
     return dist
 
 
-def _insert_star(dist, n, star):
+def _insert_star(dist, n, units, mask):
     """Add one argmin set's constraints to a closed bound matrix.
 
-    Every new edge touches r, so a new shortest path s -> t runs through r
-    once: its cost is into[s] + out[t], the best ways into and out of r
-    that end or start with at most one new edge.  A negative cycle also
-    runs through r, so it shows in out alone: as out[r] < 0, or as
-    out[w] + c < 0 for an edge (w, c) into r.  Entries >= _INF are no
-    bound.  Returns the updated closure, the same list when nothing
-    tightened, or None when the system became infeasible.
+    A bound x_b - x_a <= c is an edge a -> b of cost c; strict edges pay
+    one strictness unit.  With r the lowest member of `mask` and `units`
+    the generator scaled by _UNIT, every other member q gives the pair
+    q -> r, r -> q at +-(units[r] - units[q]) and every outside q the
+    strict edge q -> r, so each edge touches r.  A new shortest path
+    s -> t then runs through r once: its cost is into[s] + out[t], the
+    best ways into and out of r that end or start with at most one new
+    edge.  A negative cycle also runs through r, so it shows in out alone:
+    as out[r] < 0, or as out[q] + c < 0 for an edge (q, c) into r.
+    Entries >= _INF are no bound.  Returns the updated closure, the same
+    list when nothing tightened, or None when the system became infeasible.
     """
-    rep, ins, outs = star
+    low = mask & -mask
+    rep = low.bit_length() - 1
+    base = units[rep]
     out = dist[rep * n:(rep + 1) * n]
     tight = False
-    for u, c in outs:
+    rest = mask ^ low
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        c = units[u] - base
         if c >= out[u]:
             continue
         tight = True
@@ -223,11 +215,13 @@ def _insert_star(dist, n, star):
                 out[t] = c + d
     if out[rep] < 0:
         return None
-    for w, c in ins:
-        if out[w] < _INF and out[w] + c < 0:
-            return None
     into = dist[rep::n]
-    for w, c in ins:
+    for w, b in enumerate(out):
+        if w == rep:
+            continue
+        c = base - units[w] if mask >> w & 1 else base - units[w] - 1
+        if b < _INF and b + c < 0:
+            return None
         if c >= into[w]:
             continue
         tight = True
@@ -241,10 +235,10 @@ def _insert_star(dist, n, star):
     for s, a in enumerate(into):
         if a >= _INF:
             continue
-        base = s * n
+        row = s * n
         for t, b in heads:
-            if a + b < cur[base + t]:
-                cur[base + t] = a + b
+            if a + b < cur[row + t]:
+                cur[row + t] = a + b
     return cur
 
 
@@ -291,8 +285,8 @@ def _feasible_masks(dist, n, units, room=-1):
 
 def _witness(dist, n, lifted, scale, masks):
     """Decode a closure into the integer numerators, over `scale`, of a
-    point whose argmin bitmasks are exactly `masks`, or None if they are
-    not (a defect the callers report).
+    point whose argmin bitmasks are exactly `masks`; an AssertionError if
+    they are not.
 
     Potentials from the closure satisfy every non-strict bound; strict
     bounds are realised by an epsilon of 1 / scale, small enough that one
@@ -306,7 +300,9 @@ def _witness(dist, n, lifted, scale, masks):
         best = min(dist[a::n])
         c = -((-best) // _UNIT)
         nums.append(4 * _UNIT * c - (c * _UNIT - best))
-    return nums if _argmin_masks(nums, lifted) == tuple(masks) else None
+    if _argmin_masks(nums, lifted) != tuple(masks):
+        raise AssertionError("cell witness failed to realise its own profile")
+    return nums
 
 
 def realize_profile(profile, polytope: Polytope):
@@ -325,16 +321,14 @@ def realize_profile(profile, polytope: Polytope):
             raise ValueError("profile components must be non-empty")
         if any(not 0 <= q < n for q in a):
             raise ValueError("profile coordinate out of range")
-    scaled, lifted, scale = _scaled(polytope)
+    units, lifted, scale = _scaled(polytope)
+    masks = tuple(sum(1 << q for q in a) for a in sets)
     dist = _fresh(n)
-    for vi, a in zip(scaled, sets):
-        dist = _insert_star(dist, n, _star(vi, a, n))
+    for ui, mask in zip(units, masks):
+        dist = _insert_star(dist, n, ui, mask)
         if dist is None:
             return None
-    nums = _witness(dist, n, lifted, scale, tuple(sum(1 << q for q in a) for a in sets))
-    if nums is None:
-        raise AssertionError("witness failed to realise its own profile")
-    return tuple(Fraction(v, scale) for v in nums)
+    return tuple(Fraction(v, scale) for v in _witness(dist, n, lifted, scale, masks))
 
 
 # ---------------------------------------------------------------------------
@@ -463,46 +457,65 @@ def _stranded(dist, n, rest, uncovered) -> bool:
     return False
 
 
-def _profile_walk(scaled, n):
+def _walk(units, n, leaf, room, covering) -> bool:
     """The depth-first search over the argmin profiles of the generators
-    `scaled` (ints), which the full complex and the verdict share.
+    `units` (ints scaled by _UNIT), which the full complex and the verdict
+    share.
 
-    Returns run(leaf, room, covering).  It visits the feasible profiles
-    whose i-th mask lies inside room[i] and calls leaf(masks, closure) at
-    each; with `covering` it drops every subtree holding no covering
-    profile and visits covering leaves only.  It stops at the first leaf
-    for which `leaf` returns true, and returns whether it stopped.
+    It visits the feasible profiles whose i-th mask lies inside room[i]
+    and calls leaf(masks, closure) at each; with `covering` it drops every
+    subtree holding no covering profile and visits covering leaves only.
+    It stops at the first leaf for which `leaf` returns true, and returns
+    whether it stopped.
     """
-    m = len(scaled)
-    units = [[_UNIT * v for v in vi] for vi in scaled]
-    sets = [_bit_set(mask) for mask in range(1 << n)]
-    table = [[None] + [_star(vi, sets[mask], n) for mask in range(1, 1 << n)] for vi in scaled]
+    m = len(units)
 
-    def run(leaf, room, covering):
-        def walk(i, dist, acc, uncovered):
-            if covering and _stranded(dist, n, units[i:], uncovered):
-                return False
-            last = i + 1 == m
-            for mask in _feasible_masks(dist, n, units[i], room[i]):
-                if covering and last and uncovered & ~mask:
-                    continue
-                nxt = _insert_star(dist, n, table[i][mask])
-                if nxt is None:
-                    raise AssertionError("a feasible argmin mask made the cell system infeasible")
-                if leaf(acc + (mask,), nxt) if last else walk(i + 1, nxt, acc + (mask,), uncovered & ~mask):
-                    return True
+    def walk(i, dist, acc, uncovered):
+        if covering and _stranded(dist, n, units[i:], uncovered):
             return False
+        last = i + 1 == m
+        for mask in _feasible_masks(dist, n, units[i], room[i]):
+            if covering and last and uncovered & ~mask:
+                continue
+            nxt = _insert_star(dist, n, units[i], mask)
+            if nxt is None:
+                raise AssertionError("a feasible argmin mask made the cell system infeasible")
+            if leaf(acc + (mask,), nxt) if last else walk(i + 1, nxt, acc + (mask,), uncovered & ~mask):
+                return True
+        return False
 
-        return walk(0, _fresh(n), (), (1 << n) - 1)
+    return walk(0, _fresh(n), (), (1 << n) - 1)
 
-    return run
+
+def _key(masks, n) -> int:
+    """A profile packed into one int, mask i at bits n*i and up: profile t
+    lies inside profile f, mask by mask, iff _key(t) & ~_key(f) == 0."""
+    return sum(mask << (n * i) for i, mask in enumerate(masks))
+
+
+def _in_closure(key, keys) -> bool:
+    """Does the cell of the packed profile `key` lie in the closure of a
+    cell of `keys`: is one of their profiles inside key, mask by mask?"""
+    return any(t & ~key == 0 for t in keys)
+
+
+def _settle(keys_by_dim):
+    """(pure, dim) from the packed keys of covering cells, one list per
+    dimension: dim is the largest dimension holding a cell, and the
+    complex is pure when every lower cell lies in the closure of one of
+    that dimension.  Profile inclusion mask by mask is covector inclusion
+    transposed, so this is the Develin-Sturmfels face order."""
+    dim = max((d for d, keys in enumerate(keys_by_dim) if keys), default=None)
+    if dim is None:
+        raise AssertionError("a non-empty polytope always has covering cells")
+    return all(_in_closure(k, keys_by_dim[dim]) for d in range(dim) for k in keys_by_dim[d]), dim
 
 
 def _compute_complex(polytope: Polytope) -> CellComplex:
     """Walk every argmin profile and build a Face for each leaf."""
     n = polytope.ambient
-    scaled, lifted, scale = _scaled(polytope)
-    m = len(scaled)
+    units, lifted, scale = _scaled(polytope)
+    m = len(units)
     full = (1 << n) - 1
     members = [_bit_set(bits) for bits in range(1 << m)]
     # faces sort by covector, each component taken as its sorted tuple of
@@ -512,11 +525,10 @@ def _compute_complex(polytope: Polytope) -> CellComplex:
         rank[bits] = k
     values = {}  # witness numerator -> Fraction; coordinates repeat across cells
     keyed = []
+    keys = [[] for _ in range(n + 1)]
 
     def add(acc, dist):
         nums = _witness(dist, n, lifted, scale, acc)
-        if nums is None:
-            raise AssertionError("cell witness failed to realise its own profile")
         cov = _cover_bits(acc, n)
         witness = []
         for v in nums:
@@ -530,32 +542,22 @@ def _compute_complex(polytope: Polytope) -> CellComplex:
             dim=_mask_dimension(acc, n),
             covering=all(cov),
         )
+        if face.covering:
+            keys[face.dim].append(_key(acc, n))
         keyed.append((tuple(rank[bits] for bits in cov), face))
 
-    _profile_walk(scaled, n)(add, [full] * m, False)
+    _walk(units, n, add, [full] * m, False)
 
+    pure, top = _settle(keys)
     keyed.sort(key=itemgetter(0))
-    faces = tuple(face for _, face in keyed)
-    covering = [f for f in faces if f.covering]
-    if not covering:
-        raise AssertionError("a non-empty polytope always has covering cells")
-    top = max(f.dim for f in covering)
-    top_cells = [f.covector for f in covering if f.dim == top]
-    pure = all(any(covector_leq(t, f.covector) for t in top_cells) for f in covering)
-    return CellComplex(faces=faces, tropical_dim=top, pure=pure)
+    return CellComplex(faces=tuple(face for _, face in keyed), tropical_dim=top, pure=pure)
 
 
-def _in_closure(key, keys) -> bool:
-    """Does the cell of the packed profile `key` lie in the closure of a
-    cell of `keys`: is one of their profiles inside key, mask by mask?"""
-    return any(t & ~key == 0 for t in keys)
-
-
-def _has_larger(run, masks) -> bool:
-    """Does the walk `run` find a covering profile strictly inside `masks`,
-    mask by mask?  Such a profile is the type of a covering cell whose
-    closure holds the cell of `masks`."""
-    return run(lambda sub, _closure: sub != masks, masks, True)
+def _has_larger(units, n, masks) -> bool:
+    """Does the walk over the generators `units` find a covering profile
+    strictly inside `masks`, mask by mask?  Such a profile is the type of
+    a covering cell whose closure holds the cell of `masks`."""
+    return _walk(units, n, lambda sub, _closure: sub != masks, masks, True)
 
 
 def _walk_verdict(polytope: Polytope):
@@ -569,25 +571,21 @@ def _walk_verdict(polytope: Polytope):
     or `_has_larger` finds a covering cell that does.
     """
     n = polytope.ambient
-    scaled, lifted, scale = _scaled(polytope)
-    m = len(scaled)
+    units, lifted, scale = _scaled(polytope)
+    m = len(units)
     top = min(n, m)
-    run = _profile_walk(scaled, n)
     keys = [[] for _ in range(top + 1)]
     pending = []
 
     def certifies(acc, key, dim):
         if any(_in_closure(key, keys[d]) for d in range(dim + 1, top + 1)):
             return False
-        return not _has_larger(run, acc)
+        return not _has_larger(units, n, acc)
 
     def leaf(acc, dist):
-        if _witness(dist, n, lifted, scale, acc) is None:
-            raise AssertionError("cell witness failed to realise its own profile")
+        _witness(dist, n, lifted, scale, acc)
         dim = _mask_dimension(acc, n)
-        key = 0
-        for i, mask in enumerate(acc):
-            key |= mask << (n * i)
+        key = _key(acc, n)
         keys[dim].append(key)
         if dim == top:
             return len(keys[top]) == 1 and any(certifies(*p) for p in pending)
@@ -596,12 +594,9 @@ def _walk_verdict(polytope: Polytope):
         pending.append((acc, key, dim))
         return False
 
-    if run(leaf, [(1 << n) - 1] * m, True):
+    if _walk(units, n, leaf, [(1 << n) - 1] * m, True):
         return False, top
-    dim = max((d for d in range(top + 1) if keys[d]), default=None)
-    if dim is None:
-        raise AssertionError("a non-empty polytope always has covering cells")
-    return all(_in_closure(k, keys[dim]) for d in range(dim) for k in keys[d]), dim
+    return _settle(keys)
 
 
 def tropical_dimension(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES) -> int:

@@ -37,10 +37,12 @@ from .semiring import Matrix, _combine, _fractions, vec_leq, vec_scale
 # random generation
 
 
-def _rng(seed, rng):
+def _rng(seed, rng=None):
+    """The random.Random to draw from: `rng` when given, else `seed` itself
+    when it is one, else a new one seeded with it."""
     if rng is not None:
         return rng
-    return random.Random(seed)
+    return seed if isinstance(seed, random.Random) else random.Random(seed)
 
 
 def random_entry(rng, lo: int = -5, hi: int = 5, max_den: int = 1) -> Fraction:
@@ -111,15 +113,9 @@ def _random_ints(polytope: Polytope, rng, lo=-5, hi=5):
     return _combine(lams, gens, polytope.ambient)
 
 
-def _source(seed):
-    """The random.Random a corpus draws from: `seed` itself when it is one,
-    else a new one seeded with it."""
-    return seed if isinstance(seed, random.Random) else random.Random(seed)
-
-
 def polytope_corpus(seed, count: int, max_n=4, max_m=4, lo=-5, hi=5) -> tuple:
     """`count` random polytopes; `seed` is an int or a random.Random."""
-    rng = _source(seed)
+    rng = _rng(seed)
     return tuple(
         random_polytope(rng.randint(1, max_n), rng.randint(1, max_m), rng=rng, lo=lo, hi=hi)
         for _ in range(count)
@@ -129,7 +125,7 @@ def polytope_corpus(seed, count: int, max_n=4, max_m=4, lo=-5, hi=5) -> tuple:
 def regular_corpus(seed, count: int, max_n=4, lo=-3, hi=3) -> tuple:
     """Regular square matrices: metric closures plus instances found by
     random search, in alternation; `seed` is an int or a random.Random."""
-    rng = _source(seed)
+    rng = _rng(seed)
     instances = []
     while len(instances) < count:
         n = rng.randint(1, max_n)

@@ -31,9 +31,7 @@ from tropcheck.cells import (
     _fresh,
     _has_larger,
     _insert_star,
-    _profile_walk,
     _scaled,
-    _star,
     argmin_profile,
     covector_dimension,
     realize_profile,
@@ -119,6 +117,7 @@ def test_covector_dimension_examples():
     assert covector_dimension((f({0}), f({1}), f({2}))) == 3
     assert covector_dimension((f({0}), f({0}), f({0}))) == 1
     assert covector_dimension((f({0, 1}), f({1}), f({2}))) == 2
+    assert covector_dimension((f({0}), f({2}), f({2}))) == 2
 
 
 # -- profile feasibility
@@ -233,7 +232,8 @@ def test_star_insertion_matches_edge_by_edge(p, point, steps):
     # a step takes generator i with either a random mask or the argmin set
     # of one fixed point, so that long feasible sequences occur as well
     n = p.ambient
-    scaled = _scaled(p)[0]
+    scaled = p.extremals()._ints()[1]
+    units = _scaled(p)[0]
     ref = new = _fresh(n)
     for i, bits, follow in steps:
         vi = scaled[i % len(scaled)]
@@ -243,7 +243,7 @@ def test_star_insertion_matches_edge_by_edge(p, point, steps):
         else:
             members = frozenset(q for q in range(n) if bits >> q & 1) or frozenset({bits % n})
         ref = _ref_insert_edges(ref, n, _ref_edges_for(vi, members, n))
-        new = _insert_star(new, n, _star(vi, members, n))
+        new = _insert_star(new, n, units[i % len(units)], sum(1 << q for q in members))
         assert new == ref
         if ref is None:
             break
@@ -252,13 +252,9 @@ def test_star_insertion_matches_edge_by_edge(p, point, steps):
 # -- closed-form argmin masks against probing every mask
 
 
-def _ref_feasible_masks(dist, n, vi):
+def _ref_feasible_masks(dist, n, ui):
     # the probing loop the closed form replaced: one star insertion per mask
-    return [
-        mask
-        for mask in range(1, 1 << n)
-        if _insert_star(dist, n, _star(vi, frozenset(q for q in range(n) if mask >> q & 1), n)) is not None
-    ]
+    return [mask for mask in range(1, 1 << n) if _insert_star(dist, n, ui, mask) is not None]
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,13 +269,12 @@ def test_closed_form_masks_match_probing(p, picks):
     # walk one random feasible DFS prefix, comparing the mask lists at
     # every node on the way
     n = p.ambient
-    scaled = _scaled(p)[0]
     dist = _fresh(n)
-    for vi, pick in zip(scaled, picks):
-        masks = _feasible_masks(dist, n, [_UNIT * v for v in vi])
-        assert masks == _ref_feasible_masks(dist, n, vi)
+    for ui, pick in zip(_scaled(p)[0], picks):
+        masks = _feasible_masks(dist, n, ui)
+        assert masks == _ref_feasible_masks(dist, n, ui)
         mask = masks[pick % len(masks)]
-        dist = _insert_star(dist, n, _star(vi, frozenset(q for q in range(n) if mask >> q & 1), n))
+        dist = _insert_star(dist, n, ui, mask)
         assert dist is not None
 
 
@@ -450,6 +445,16 @@ def _thin_polytopes(draw):
     return Polytope([random_point(hull, rng=rng, lo=-3, hi=3) for _ in range(draw(st.integers(k + 1, 5)))])
 
 
+def _purity_oracle(faces):
+    # the covector-inclusion rule _compute_complex used before both routes
+    # settled purity on packed profile keys: every covering cell lies in
+    # the closure of a covering cell of the largest dimension
+    covering = [f for f in faces if f.covering]
+    top = max(f.dim for f in covering)
+    top_cells = [f.covector for f in covering if f.dim == top]
+    return all(any(covector_leq(t, f.covector) for t in top_cells) for f in covering), top
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
@@ -468,6 +473,7 @@ def test_covering_walk_matches_the_full_complex(p):
     verdict = pure_dimension(fresh, 10**30)
     assert fresh._complex is None  # the verdict walk answered, not the full one
     full = cell_complex(p, 10**30)
+    assert (full.pure, full.tropical_dim) == _purity_oracle(full.faces)
     assert verdict == (full.pure, full.tropical_dim)
     assert tropical_dimension(twin, 10**30) == full.tropical_dim
 
@@ -487,10 +493,10 @@ def test_has_larger_finds_exactly_the_covering_cells_strictly_inside(p):
     n = p.ambient
     m = len(p.extremals().generators)
     profiles = [_profile(f, m, n) for f in cell_complex(p).covering_faces()]
-    run = _profile_walk(_scaled(p)[0], n)
+    units = _scaled(p)[0]
     for acc in profiles:
         inside = any(t != acc and all(a & ~b == 0 for a, b in zip(t, acc)) for t in profiles)
-        assert _has_larger(run, acc) == inside
+        assert _has_larger(units, n, acc) == inside
 
 
 def test_impure_verdict_stops_before_the_last_covering_cell(monkeypatch):
