@@ -10,8 +10,8 @@ min-plus-convexity test stays available as an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cells import DEFAULT_MAX_TUPLES, cell_complex
 from .errors import (
@@ -31,16 +31,14 @@ REASON_NOT_MIN_PLUS_CONVEX = "not-min-plus-convex"
 REASON_PROJECTIVE = "projective"
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     """Verdict plus, when regular, a finite B with A @ B @ A = A."""
 
     regular: bool
     witness: Matrix | None
 
 
-@dataclass(frozen=True)
-class ProjectivityReport:
+class ProjectivityReport(NamedTuple):
     projective: bool
     gendim: int
     dualdim: int
@@ -49,8 +47,7 @@ class ProjectivityReport:
     embedding: EmbeddingReport | None
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     row_gen_rank: int
     col_gen_rank: int
     tropical_rank: int

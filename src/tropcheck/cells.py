@@ -74,9 +74,9 @@ on every face reports such a collision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -335,8 +335,7 @@ def realize_profile(profile, polytope: Polytope):
 # the cell complex
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """One cell: its covector, a point realising it exactly, its dimension."""
 
     covector: tuple
@@ -345,8 +344,7 @@ class Face:
     covering: bool
 
 
-@dataclass(frozen=True)
-class CellComplex:
+class CellComplex(NamedTuple):
     """Every cell of the covector decomposition, as `cell_complex` finds
     them, with the tropical dimension and purity they give."""
 

@@ -3,15 +3,16 @@
 Subcommands: analyze | polytope | faces | plot | oracle.  Exit codes are
 operational only: 0 whatever the mathematical verdicts, 2 for malformed
 input or arguments (including an --input path that cannot be read, an
---output path that cannot be written, input that is not UTF-8, JSON nested
-too deeply to parse, a JSON integer past the interpreter's int/str digit
-limit, a numeral with non-ASCII digits and a non-positive --max-tuples), 3
-for an operation the input shape does not support, 4 when an enumeration
-bound is exceeded, 5 when an internal consistency check fails (a defect in
-tropcheck; the message asks for the input document), 6 when a result holds
-a numeral longer than the interpreter's int/str digit limit, which tropcheck
-does not raise (`documents.entry_to_json` turns every result entry into an
-output numeral and reports it).
+--output path or a standard output that cannot be written, such as
+/dev/full, input that is not UTF-8, JSON nested too deeply to parse, a JSON
+integer past the interpreter's int/str digit limit, a numeral with
+non-ASCII digits and a non-positive --max-tuples), 3 for an operation the
+input shape does not support, 4 when an enumeration bound is exceeded, 5
+when an internal consistency check fails (a defect in tropcheck; the
+message asks for the input document), 6 when a result holds a numeral
+longer than the interpreter's int/str digit limit, which tropcheck does not
+raise (`documents.entry_to_json` turns every result entry into an output
+numeral and reports it).
 Verdicts live in the payload; --format picks JSON or a line-per-field text
 rendering of the same data.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import (
@@ -70,7 +72,8 @@ SUITE_NAMES = (
 
 
 class _UnusablePath(Exception):
-    """An --input path that cannot be read or an --output path that cannot be written."""
+    """An --input path that cannot be read, or an --output path or standard output
+    that cannot be written."""
 
 
 def _read_text(path: str) -> str:
@@ -85,7 +88,14 @@ def _read_text(path: str) -> str:
 
 def _write_text(path: str, text: str) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # as in the Python docs' note on SIGPIPE: point stdout at devnull,
+            # so that the flush at interpreter exit cannot fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise _UnusablePath(f"cannot write output: {exc}") from None
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -23,7 +23,7 @@ the coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, EmptyPolytope, NonFiniteEntries
 from .semiring import Matrix, _combine, _common, _fractions, _frame_of, _lift, _principal, as_vector
@@ -213,8 +213,7 @@ class Polytope:
         return f"Polytope[{pts}]"
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     """A minimal linear embedding: the image lives in FT^target_dim."""
 
     target_dim: int

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -138,6 +139,26 @@ def test_unusable_paths_exit_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"tropcheck: {what}: ")
         assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_unwritable_stdout_exits_two(tmp_path, unbuffered):
+    # a full device fails the write itself when stdout is unbuffered, and the
+    # flush when it is buffered; either way one line, and no second failure
+    # at interpreter exit
+    doc = write_doc(tmp_path, "p.json", {"ambient": 2, "generators": [[0, -1]]})
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropcheck.cli", "polytope", "--input", doc],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("tropcheck: cannot write output: [Errno 28] ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_deeply_nested_json_exits_two(tmp_path, capsys):
@@ -350,9 +371,12 @@ def test_suite_names_match_the_oracles():
     assert SUITE_NAMES == tuple(sorted(SUITES))
 
 
-def test_importing_the_cli_leaves_the_oracles_unloaded():
+# The oracles are needed by the oracle subcommand alone, and dataclasses (which
+# imports inspect) by no module of the package; each would slow every process.
+@pytest.mark.parametrize("module", ["tropcheck.oracles", "dataclasses"])
+def test_importing_the_cli_leaves_the_oracles_unloaded(module):
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, tropcheck.cli; print('tropcheck.oracles' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, tropcheck.cli; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
     )

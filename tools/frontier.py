@@ -8,8 +8,11 @@ For every ambient dimension n from 3 to MAX_N, shapes (n, m) are tried
 with m = 2, 3, ... up to MAX_M: five polytopes per shape, their m
 generators drawn with `oracles.random_vector(n, lo=-20, hi=20)` from a
 fresh `random.Random(5)`.
-A shape is within the limit when every one of its five polytopes, built
-anew so that no memo answers, gets its answer in under LIMIT_S seconds.
+Each polytope is timed REPEATS = 3 times, on a `Polytope` built anew
+each time so that no memo answers, and the median of the three is its
+time: a single run slowed by the machine cannot move the frontier alone.
+A shape is within the limit when every one of its five polytopes has a
+median time under LIMIT_S seconds.
 The first shape over the limit ends the row; a row that reaches MAX_M
 reports it, as a lower bound.  Two routes are timed:
 `cell_complex`, which enumerates every cell, and `pure_dimension`, which
@@ -21,8 +24,8 @@ At the default bound of 10^7 both refuse, with ScaleLimitExceeded, every
 shape whose (2^n - 1)^m exceeds it: (5,5), (6,4), (7,4), (8,3) and up.
 
 Prints, per route, the frontier (for each n the largest m within the
-limit) and the per-shape times in ms; with --out the same goes to a JSON
-file, with the Python version and CPU count.
+limit) and the per-shape median times in ms; with --out the same goes to
+a JSON file, with the Python version, CPU count and REPEATS.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import sys
 from time import perf_counter
 
@@ -43,20 +47,24 @@ from tropcheck.oracles import random_vector  # noqa: E402
 ROUTES = {"cell_complex": cell_complex, "pure_dimension": pure_dimension}
 UNBOUNDED = 10**30  # the nominal profile bound would stop large shapes before the clock does
 LIMIT_S = 1.0
+REPEATS = 3
 MAX_N = 8
 MAX_M = 8
 
 
 def shape_times(route, n: int, m: int) -> list:
-    """Seconds per polytope of one shape, stopping at the first over the limit."""
+    """Median seconds per polytope of one shape, stopping at the first over the limit."""
     rng = random.Random(5)
     polytopes = [[random_vector(n, rng=rng, lo=-20, hi=20) for _ in range(m)] for _ in range(5)]
     times = []
     for gens in polytopes:
-        p = Polytope(gens)
-        t0 = perf_counter()
-        route(p, UNBOUNDED)
-        times.append(perf_counter() - t0)
+        runs = []
+        for _ in range(REPEATS):
+            p = Polytope(gens)
+            t0 = perf_counter()
+            route(p, UNBOUNDED)
+            runs.append(perf_counter() - t0)
+        times.append(statistics.median(runs))
         if times[-1] >= LIMIT_S:
             break
     return times
@@ -84,6 +92,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "limit_s": LIMIT_S,
+        "repeats": REPEATS,
         "routes": {},
     }
     for name, route in ROUTES.items():
