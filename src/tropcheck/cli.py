@@ -94,7 +94,9 @@ def _write_text(path: str, text: str) -> None:
         except OSError as exc:
             # as in the Python docs' note on SIGPIPE: point stdout at devnull,
             # so that the flush at interpreter exit cannot fail a second time
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             raise _UnusablePath(f"cannot write output: {exc}") from None
         return
     try:

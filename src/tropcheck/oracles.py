@@ -284,7 +284,7 @@ def suite_rank_equality(rng, count, n):
         report = rank_report(a)
         oracle = tropical_rank_oracle(a)
         if not report.all_equal or report.tropical_rank != oracle:
-            yield {"matrix": _mat_doc(a), "report": vars(report), "oracle": oracle}
+            yield {"matrix": _mat_doc(a), "report": report._asdict(), "oracle": oracle}
 
 
 @_suite("idempotent-column-space")

@@ -161,6 +161,25 @@ def test_unwritable_stdout_exits_two(tmp_path, unbuffered):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.skipif(
+    not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+    reason="needs /dev/full and /proc/self/fd",
+)
+def test_unwritable_stdout_in_process_leaves_no_descriptor_open(tmp_path, capsys, monkeypatch):
+    doc = write_doc(tmp_path, "p.json", {"ambient": 2, "generators": [[0, -1]]})
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        before = len(os.listdir("/proc/self/fd"))
+        code = main(["polytope", "--input", doc])
+        after = len(os.listdir("/proc/self/fd"))
+        full.write("more")
+        full.flush()  # the descriptor now writes to os.devnull
+        monkeypatch.undo()
+    assert code == 2
+    assert after == before
+    assert capsys.readouterr().err.startswith("tropcheck: cannot write output: [Errno 28] ")
+
+
 def test_deeply_nested_json_exits_two(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
@@ -349,6 +368,21 @@ def test_oracle_command(tmp_path):
     assert payload["suite"] == "top-cell"
     assert payload["instances"] == 10
     assert payload["failures"] == []
+
+
+def test_oracle_command_writes_a_failing_instance(tmp_path, monkeypatch):
+    monkeypatch.setattr("tropcheck.oracles.tropical_rank_oracle", lambda a: -1)
+    out = tmp_path / "suite.json"
+    code = main(
+        ["oracle", "rank-equality", "--seed", "5", "--count", "2", "--n", "2", "--output", str(out)]
+    )
+    assert code == 0
+    failures = json.loads(out.read_text())["failures"]
+    assert len(failures) == 2
+    for failure in failures:
+        report = failure["report"]
+        assert sorted(report) == ["all_equal", "col_gen_rank", "row_gen_rank", "tropical_rank"]
+        assert failure["oracle"] == -1
 
 
 def test_oracle_unknown_suite():

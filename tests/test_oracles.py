@@ -9,10 +9,12 @@ from tropcheck import (
     ScaleLimitExceeded,
     column_space,
     is_idempotent,
+    rank_report,
     tropical_dimension,
     row_space,
     vec_min,
 )
+from tropcheck import oracles
 from tropcheck.oracles import (
     random_matrix,
     SUITES,
@@ -112,6 +114,23 @@ def test_every_suite_passes_at_small_scale(name):
     assert summary["suite"] == name
     assert summary["instances"] >= 25
     assert summary["failures"] == []
+
+
+def test_rank_equality_reports_a_disagreement_field_by_field(monkeypatch):
+    monkeypatch.setattr(oracles, "tropical_rank_oracle", lambda a: -1)
+    summary = run_suite("rank-equality", seed=8, count=6, n=3)
+    corpus = regular_corpus(8, 6, max_n=3)
+    assert len(summary["failures"]) == len(corpus)
+    for a, failure in zip(corpus, summary["failures"]):
+        report = rank_report(a)
+        assert failure["oracle"] == -1
+        assert failure["report"] == {
+            "row_gen_rank": report.row_gen_rank,
+            "col_gen_rank": report.col_gen_rank,
+            "tropical_rank": report.tropical_rank,
+            "all_equal": report.all_equal,
+        }
+        assert list(failure["report"]) == ["row_gen_rank", "col_gen_rank", "tropical_rank", "all_equal"]
 
 
 def test_unknown_suite():
