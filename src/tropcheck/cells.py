@@ -66,10 +66,7 @@ cell, and the polytope is impure of dimension min(n, m); the walk stops
 there.  Leaves are packed as keys sum(mask_i << n*i), on which "t inside
 f" reads t & ~f == 0; every leaf's witness is still decoded and
 re-checked.  The full complex records the keys of its covering faces too,
-and both settle (pure, dim) on them in one place, `_settle`.  The pruned
-walk runs only where no value it forms can reach _INF (`_below_sentinel`);
-elsewhere the verdict comes from the full complex, whose witness re-check
-on every face reports such a collision.
+and both settle (pure, dim) on them in one place, `_settle`.
 """
 
 from __future__ import annotations
@@ -95,7 +92,8 @@ DEFAULT_MAX_TUPLES = 10**7
 # Simple paths and cycles carry fewer than _UNIT strict edges, so the
 # encoding is exactly the lexicographic (value, strict-count) order.
 _UNIT = 1024
-_INF = 1 << 62
+# "no bound": tested by identity before every sum, so none forms it; ints compare with inf exactly
+_INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +191,7 @@ def _insert_star(dist, n, units, mask):
     best ways into and out of r that end or start with at most one new
     edge.  A negative cycle also runs through r, so it shows in out alone:
     as out[r] < 0, or as out[q] + c < 0 for an edge (q, c) into r.
-    Entries >= _INF are no bound.  Returns the updated closure, the same
+    Entries that are _INF are no bound.  Returns the updated closure, the same
     list when nothing tightened, or None when the system became infeasible.
     """
     low = mask & -mask
@@ -211,7 +209,7 @@ def _insert_star(dist, n, units, mask):
             continue
         tight = True
         for t, d in enumerate(dist[u * n:(u + 1) * n]):
-            if d < _INF and c + d < out[t]:
+            if d is not _INF and c + d < out[t]:
                 out[t] = c + d
     if out[rep] < 0:
         return None
@@ -220,20 +218,20 @@ def _insert_star(dist, n, units, mask):
         if w == rep:
             continue
         c = base - units[w] if mask >> w & 1 else base - units[w] - 1
-        if b < _INF and b + c < 0:
+        if b is not _INF and b + c < 0:
             return None
         if c >= into[w]:
             continue
         tight = True
         for s, d in enumerate(dist[w::n]):
-            if d < _INF and d + c < into[s]:
+            if d is not _INF and d + c < into[s]:
                 into[s] = d + c
     if not tight:
         return dist
-    heads = [(t, b) for t, b in enumerate(out) if b < _INF]
+    heads = [(t, b) for t, b in enumerate(out) if b is not _INF]
     cur = dist[:]
     for s, a in enumerate(into):
-        if a >= _INF:
+        if a is _INF:
             continue
         row = s * n
         for t, b in heads:
@@ -248,8 +246,8 @@ def _feasible_masks(dist, n, units, room=-1):
     the module docstring: no member of S is dead and need[u] lies inside S
     for each u in S, with D[u][q] = dist[u][q] + units[u] - units[q].
 
-    `units` is the generator scaled by _UNIT.  Entries >= _INF are no
-    bound.  A mask holding a dead coordinate is never feasible, so only
+    `units` is the generator scaled by _UNIT.  Entries that are _INF are
+    no bound.  A mask holding a dead coordinate is never feasible, so only
     the submasks of the live coordinates inside `room` are tried.
     """
     need = [0] * n
@@ -260,7 +258,7 @@ def _feasible_masks(dist, n, units, room=-1):
         bits = 0
         for q in range(n):
             d = row[q]
-            if d < _INF:
+            if d is not _INF:
                 d += base - units[q]
                 if d <= 0:
                     if d < 0:
@@ -389,34 +387,9 @@ def _verdict(polytope: Polytope, max_tuples: int):
     """
     _check_scale(polytope, max_tuples)
     if polytope._covering is None:
-        if polytope._complex is None and _below_sentinel(polytope):
-            polytope._covering = _walk_verdict(polytope)
-        else:
-            full = cell_complex(polytope, max_tuples)
-            polytope._covering = full.pure, full.tropical_dim
+        full = polytope._complex
+        polytope._covering = _walk_verdict(polytope) if full is None else (full.pure, full.tropical_dim)
     return polytope._covering
-
-
-def _below_sentinel(polytope: Polytope) -> bool:
-    """Does every value the walk compares with _INF stay below it?
-
-    Let M be the largest absolute scaled entry.  A star edge costs
-    (v_r - v_q) * _UNIT, one less when strict, so at most 2M * _UNIT + 1 in
-    absolute value.  A closure entry is a shortest path, simple since no
-    cycle is negative, so it has at most n - 1 edges.  `_insert_star`
-    extends an entry by one edge for into[s], out[t] and the cycle test,
-    and adds into[s] + out[t]: at most 2n edges.  `_feasible_masks` adds at
-    most 2M * _UNIT to an entry.  So every such value is below
-    2n * (2M * _UNIT + 1) in absolute value, and the test below leaves a
-    factor of two to spare.
-
-    Where it fails, the verdict comes from the full complex instead, whose
-    witness re-check on every face turns a collision into an
-    AssertionError; the pruned walk could skip the face that shows it.
-    """
-    scaled = polytope.extremals()._ints()[1]
-    top = max(abs(v) for g in scaled for v in g)
-    return 4 * polytope.ambient * (2 * top * _UNIT + 1) < _INF
 
 
 def _mask_dimension(masks, n):
@@ -449,7 +422,7 @@ def _stranded(dist, n, rest, uncovered) -> bool:
         low = uncovered & -uncovered
         uncovered ^= low
         u = low.bit_length() - 1
-        bounds = [(q, d) for q, d in enumerate(dist[u * n:(u + 1) * n]) if d < _INF]
+        bounds = [(q, d) for q, d in enumerate(dist[u * n:(u + 1) * n]) if d is not _INF]
         if all(any(d + units[u] - units[q] < 0 for q, d in bounds) for units in rest):
             return True
     return False

@@ -102,7 +102,7 @@ def _assert_matches_the_set_route(x, p):
 def test_argmin_sets_match_the_set_route_on_tie_heavy_points(data):
     # entries in [-2, 2] over {1, 2}: most points tie somewhere
     entry = _rationals(st.integers(-2, 2), (1, 2))
-    p = data.draw(_polytopes(5, 5, st.integers(-2, 2), (1, 2)))
+    p = data.draw(_polytopes(5, 5, entry))
     _assert_matches_the_set_route(tuple(data.draw(entry) for _ in range(p.ambient)), p)
 
 
@@ -215,16 +215,15 @@ def _rationals(numerators, denominators):
 
 
 @st.composite
-def _polytopes(draw, max_n, max_m, numerators, denominators):
+def _polytopes(draw, max_n, max_m, entry):
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, max_m))
-    entry = _rationals(numerators, denominators)
     return Polytope([tuple(draw(entry) for _ in range(n)) for _ in range(m)])
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    _polytopes(5, 4, st.integers(-20, 20), (1, 2, 3, 7)),
+    _polytopes(5, 4, _rationals(st.integers(-20, 20), (1, 2, 3, 7))),
     st.lists(st.integers(-40, 40), min_size=5, max_size=5),
     st.lists(st.tuples(st.integers(0, 3), st.integers(0, 31), st.booleans()), min_size=1, max_size=8),
 )
@@ -260,8 +259,8 @@ def _ref_feasible_masks(dist, n, ui):
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(
-        _polytopes(5, 4, st.integers(-20, 20), (1, 2, 3, 7)),
-        _polytopes(5, 4, st.integers(-2, 2), (1, 2, 3, 7)),
+        _polytopes(5, 4, _rationals(st.integers(-20, 20), (1, 2, 3, 7))),
+        _polytopes(5, 4, _rationals(st.integers(-2, 2), (1, 2, 3, 7))),
     ),
     st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
 )
@@ -413,13 +412,15 @@ def test_complex_is_memoised_per_instance_and_guard_still_applies():
     assert cell_complex(twin) == first
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="cells._INF is a finite sentinel")
 def test_overflowing_bounds_known_defect():
-    # the spike fixture scaled by 10^15: scaled bounds exceed cells._INF,
-    # so the DFS drops them and the decoded witness misses its profile
+    # the spike fixture scaled by 10^15: its scaled bounds exceed 2^62, and
+    # a bound the walk mistook for "no bound" would leave a decoded witness
+    # off its profile; both routes must answer
     s = 10**15
-    report = cell_complex(Polytope([(0, 0, 0), (5 * s, -2 * s, 0), (5 * s, 5 * s, 0)]))
+    gens = [(0, 0, 0), (5 * s, -2 * s, 0), (5 * s, 5 * s, 0)]
+    report = cell_complex(Polytope(gens))
     assert (report.pure, report.tropical_dim) == (False, 3)
+    assert pure_dimension(Polytope(gens)) == (False, 3)
 
 
 # -- the verdict walk against the full complex
@@ -458,9 +459,9 @@ def _purity_oracle(faces):
 @settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
-        _polytopes(5, 4, st.integers(-20, 20), (1, 2, 3, 7)),
-        _polytopes(5, 4, st.integers(-2, 2), (1, 2, 3, 7)),
-        _polytopes(5, 5, st.integers(-1, 1), (1, 2, 3, 7)),
+        _polytopes(5, 4, _rationals(st.integers(-20, 20), (1, 2, 3, 7))),
+        _polytopes(5, 4, _rationals(st.integers(-2, 2), (1, 2, 3, 7))),
+        _polytopes(5, 5, _rationals(st.integers(-1, 1), (1, 2, 3, 7))),
         _idempotent_spaces(),
         _thin_polytopes(),
     )
@@ -485,8 +486,8 @@ def _profile(face, m, n):
 @settings(max_examples=100, deadline=None)
 @given(
     st.one_of(
-        _polytopes(4, 4, st.integers(-2, 2), (1, 2, 3, 7)),
-        _polytopes(4, 4, st.integers(-20, 20), (1, 2, 3, 7)),
+        _polytopes(4, 4, _rationals(st.integers(-2, 2), (1, 2, 3, 7))),
+        _polytopes(4, 4, _rationals(st.integers(-20, 20), (1, 2, 3, 7))),
     )
 )
 def test_has_larger_finds_exactly_the_covering_cells_strictly_inside(p):
@@ -538,24 +539,17 @@ def test_covering_summary_is_memoised_and_guard_still_applies(monkeypatch):
     assert q._covering == (full.pure, full.tropical_dim)
 
 
-def _outcome(route, generators):
-    try:
-        return route(Polytope(generators))
-    except AssertionError as exc:
-        return "AssertionError", str(exc)
-
-
 def _full_route(p):
     report = cell_complex(p)
     return report.pure, report.tropical_dim
 
 
 def _mixed_magnitude_generators():
-    # the overflow repro above; one huge entry among small ones, where a
-    # walk pruned past the face whose witness fails answers (True, 2); then
-    # (4, 4) polytopes built like the benchmark's mixed-magnitude instances:
-    # entries in [-20, 20] scaled by 10^15, or divided by denominators near
-    # 10^13
+    # scaled bounds far past 2^62: the overflow repro above; one huge entry
+    # among small ones, where a walk that lost a bound would answer
+    # (True, 2); then (4, 4) polytopes built like the benchmark's
+    # mixed-magnitude instances: entries in [-20, 20] scaled by 10^15, or
+    # divided by denominators near 10^13
     s = 10**15
     yield [(0, 0, 0), (5 * s, -2 * s, 0), (5 * s, 5 * s, 0)]
     yield [(-18, -3, -13, 7), (-15, -8 * s, -19, 11)]
@@ -568,19 +562,23 @@ def _mixed_magnitude_generators():
 
 
 def test_covering_route_fails_exactly_where_the_full_complex_does():
-    # a magnitude the sentinel cannot carry must never turn into a silent
-    # verdict: pure_dimension raises the full complex's error or agrees
+    # at any magnitude the verdict walk and the full complex both answer,
+    # and agree; a raise on either route fails the test
     for gens in _mixed_magnitude_generators():
-        assert _outcome(pure_dimension, gens) == _outcome(_full_route, gens)
+        assert pure_dimension(Polytope(gens)) == _full_route(Polytope(gens))
 
 
 # -- invariance under translation, positive integer scaling and permutation
 #
-# Magnitudes stay well inside cells._INF; larger ones hit the defect pinned
-# by test_overflowing_bounds_known_defect.
+# Mixed magnitudes up to 10^30 over denominators up to 10^17, as for the
+# frame-served verdicts below.
 
-_entries = _rationals(st.integers(-(10**6), 10**6), (1, 2, 3, 4, 6))
-_invariance_polytopes = _polytopes(4, 4, st.integers(-(10**6), 10**6), (1, 2, 3, 4, 6))
+_mixed = st.builds(
+    Fraction,
+    st.one_of(st.integers(-20, 20), st.integers(-(10**30), 10**30)),
+    st.one_of(st.sampled_from((1, 2, 3, 7)), st.integers(1, 10**17)),
+)
+_invariance_polytopes = _polytopes(4, 4, _mixed)
 
 
 def _assert_invariant(p, image, perm):
@@ -609,7 +607,7 @@ def _assert_invariant(p, image, perm):
 @settings(max_examples=40, deadline=None)
 @given(_invariance_polytopes, st.data())
 def test_cells_invariant_under_translation(p, data):
-    shift = [data.draw(_entries) for _ in range(p.ambient)]
+    shift = [data.draw(_mixed) for _ in range(p.ambient)]
     _assert_invariant(p, lambda x: tuple(a + d for a, d in zip(x, shift)), range(p.ambient))
 
 
@@ -630,14 +628,8 @@ def test_cells_invariant_under_permutation(p, rng):
 # -- the frame-served verdicts under the same three maps
 #
 # Membership, generator and dual dimension, min-plus convexity, projectivity
-# and regularity run on integer frames and touch no cells._INF, so they take
-# mixed magnitudes up to 10^30 over denominators up to 10^17: large lcms.
-
-_mixed = st.builds(
-    Fraction,
-    st.one_of(st.integers(-20, 20), st.integers(-(10**30), 10**30)),
-    st.one_of(st.sampled_from((1, 2, 3, 7)), st.integers(1, 10**17)),
-)
+# and regularity run on integer frames, with the same mixed magnitudes:
+# large lcms.
 
 
 @st.composite
