@@ -10,10 +10,9 @@ min-plus-convexity test stays available as an independent cross-check.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .cells import DEFAULT_MAX_TUPLES, cell_complex
+from .cells import DEFAULT_MAX_TUPLES, tropical_dimension
 from .errors import (
     DimensionMismatch,
     NonFiniteEntries,
@@ -89,21 +88,17 @@ def metric_closure(a: Matrix) -> Matrix:
     if not a.is_finite:
         raise NonFiniteEntries("metric closure needs a finite matrix")
     n = a.rows
-    zero = Fraction(0)
-    dist = [[zero if i == j else a.entries[i][j] for j in range(n)] for i in range(n)]
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            di = dist[i]
-            for j in range(n):
-                cand = dik + dk[j]
-                if cand > di[j]:
-                    di[j] = cand
+    denom, x = a._ints()
+    x = tuple(row[:i] + (0,) + row[i + 1 :] for i, row in enumerate(x))
+    # square until walks of n steps are covered: no simple cycle is longer
+    walk = 1
+    while walk < n:
+        x = _product(x, x, n)
+        walk *= 2
     for i in range(n):
-        if dist[i][i] > 0:
+        if x[i][i] > 0:
             raise PositiveCycle(f"cycle of positive weight through index {i}")
-    return Matrix._raw(tuple(tuple(row) for row in dist))
+    return Matrix._from_ints(denom, x)
 
 
 def infimum_matrix(polytope: Polytope) -> Matrix:
@@ -221,14 +216,15 @@ def greens_h(a: Matrix, b: Matrix) -> bool:
 def rank_report(a: Matrix, max_tuples: int = DEFAULT_MAX_TUPLES) -> RankReport:
     """Row and column generator ranks plus the tropical rank.
 
-    The tropical rank is the tropical dimension of the row space; it never
-    exceeds the generator ranks, and all three agree for regular matrices.
+    The tropical rank is the tropical dimension of the row space, read off
+    the verdict walk; it never exceeds the generator ranks, and all three
+    agree for regular matrices.
     """
     rows = row_space(a)
     cols = column_space(a)
     row_rank = rows.generator_dimension()
     col_rank = cols.generator_dimension()
-    trop = cell_complex(rows, max_tuples).tropical_dim
+    trop = tropical_dimension(rows, max_tuples)
     return RankReport(
         row_gen_rank=row_rank,
         col_gen_rank=col_rank,

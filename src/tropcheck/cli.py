@@ -48,7 +48,6 @@ from .errors import (
     OutputLimitExceeded,
     ScaleLimitExceeded,
 )
-from .polytopes import column_space, row_space
 from .svgplot import render_polytope_svg
 
 EXIT_OK = 0
@@ -200,15 +199,17 @@ def _cmd_analyze(args) -> int:
             ranks.tropical_rank,
             min(ranks.row_gen_rank, ranks.col_gen_rank),
         ]
-        rows = row_space(matrix)
-        cols = column_space(matrix)
+        # A space's dual dimension is the generator rank of the row space of
+        # its scaled extremal generators: the other space, translated by the
+        # scaling and projected injectively, since each dropped coordinate is
+        # a max-combination of the kept ones.
         payload["row_space"] = {
-            "generator_dimension": rows.generator_dimension(),
-            "dual_dimension": rows.dual_dimension(),
+            "generator_dimension": ranks.row_gen_rank,
+            "dual_dimension": ranks.col_gen_rank,
         }
         payload["column_space"] = {
-            "generator_dimension": cols.generator_dimension(),
-            "dual_dimension": cols.dual_dimension(),
+            "generator_dimension": ranks.col_gen_rank,
+            "dual_dimension": ranks.row_gen_rank,
         }
     _emit(args, payload)
     return EXIT_OK

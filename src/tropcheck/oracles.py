@@ -371,7 +371,7 @@ def suite_top_cell(rng, count, n):
 
 @_suite("rank-oracle")
 def suite_rank_oracle(rng, count, n, m):
-    """On arbitrary matrices the cell-complex tropical rank agrees with the
+    """On arbitrary matrices the verdict-walk tropical rank agrees with the
     permutation-uniqueness oracle."""
     for _ in range(count):
         a = random_matrix(rng.randint(1, n), rng.randint(1, m), rng=rng)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropcheck import (
     BOTTOM,
@@ -144,6 +146,41 @@ def test_metric_closure_rejects_positive_cycles():
     assert metric_closure(Matrix([[5]])) == Matrix([[0]])
     # a positive entry is fine as long as every cycle stays non-positive
     assert metric_closure(Matrix([[0, 3], [-4, 0]])) == Matrix([[0, 3], [-4, 0]])
+
+
+def _floyd_warshall_closure(a: Matrix) -> Matrix:
+    """The Fraction Floyd-Warshall route `metric_closure` replaced, kept as
+    its oracle: raises PositiveCycle where some diagonal entry ends positive."""
+    n = a.rows
+    dist = [[Fraction(0) if i == j else a.entries[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = max(dist[i][j], dist[i][k] + dist[k][j])
+    if any(dist[i][i] > 0 for i in range(n)):
+        raise PositiveCycle("cycle of positive weight")
+    return Matrix(dist)
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-12, 4), st.sampled_from((1, 2, 3, 7)))
+    return Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_matrices())
+def test_metric_closure_matches_floyd_warshall(a):
+    # equal closures, or PositiveCycle on both routes; the index the
+    # message names may differ, as the routes meet a cycle in another order
+    try:
+        expected = _floyd_warshall_closure(a)
+    except PositiveCycle:
+        with pytest.raises(PositiveCycle):
+            metric_closure(a)
+    else:
+        assert metric_closure(a) == expected
 
 
 # -- the infimum matrix and projectivity

@@ -6,13 +6,14 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropcheck import BOTTOM, Matrix, column_space, is_projective, row_space
+from tropcheck import BOTTOM, Matrix, cell_complex, column_space, is_projective, row_space
 from tropcheck.cli import SUITE_NAMES, main
 from tropcheck.documents import (
     MalformedDocument,
@@ -125,6 +126,37 @@ def test_analyze_malformed_input(tmp_path):
     assert main(["analyze", "--input", str(bad)]) == 2
     missing = write_doc(tmp_path, "missing.json", {"rows": 1})
     assert main(["analyze", "--input", missing]) == 2
+
+
+_UNBOUNDED = 10**30
+
+
+@st.composite
+def _rectangular_matrices(draw):
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
+    return Matrix([[draw(entry) for _ in range(m)] for _ in range(n)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rectangular_matrices())
+def test_analyze_space_dimensions_match_the_spaces(a):
+    # analyze reads both spaces' dimensions off the two generator ranks and
+    # the tropical rank off the verdict walk; the spaces and their full
+    # cell complex are the oracle
+    with tempfile.TemporaryDirectory() as tmp:
+        source, out = Path(tmp) / "a.json", Path(tmp) / "out.json"
+        source.write_text(json.dumps(matrix_to_document(a)), encoding="utf-8")
+        argv = ["analyze", "--format", "json", "--max-tuples", str(_UNBOUNDED)]
+        assert main([*argv, "--input", str(source), "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+    rows, cols = row_space(a), column_space(a)
+    for key, space in (("row_space", rows), ("column_space", cols)):
+        assert payload[key] == {
+            "generator_dimension": space.generator_dimension(),
+            "dual_dimension": space.dual_dimension(),
+        }
+    assert payload["ranks"]["tropical"] == cell_complex(rows, _UNBOUNDED).tropical_dim
 
 
 def test_unusable_paths_exit_two(tmp_path, capsys):
@@ -328,8 +360,6 @@ def test_cli_verdicts_match_library(tmp_path):
 
 
 def test_faces_command(tmp_path, golden_idempotent):
-    from tropcheck import cell_complex
-
     space = column_space(golden_idempotent)
     doc = write_doc(tmp_path, "cols.json", polytope_to_document(space))
     code, payload = run_json(tmp_path, "faces", "--input", doc)
