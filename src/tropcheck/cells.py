@@ -23,24 +23,26 @@ visiting exactly the same feasible set.
 
 The search runs on exact Python ints, the integer frame of the extremal
 polytope (its generators over the lcm of their own denominators), with
-argmin sets as bitmasks over the coordinates.  At a node
-with closure dist, the masks generator i can take are read off in closed
-form.  Shift the closure into the coordinates y_a = x_a - v_a of the
-scaled generator v: D[u][q] = dist[u][q] + (v_u - v_q) * _UNIT bounds
-y_q - y_u.  Call u dead when some D[u][q] < 0 and let
-need[u] = {q : D[u][q] <= 0}.  Then S is feasible iff no member of S is
-dead and need[u] lies inside S for every u in S.  Proof: every new constraint touches the lowest member
-r of S, so a new negative cycle runs r -> u in S (free), then a closed path
-u -> q (cost D[u][q]), then q -> r (free when q is in S, one strictness
-unit when it is not).  One pass over the subsets of the live coordinates
-lists the feasible masks.  Each of them enters the closure in one star
-step at r, its edges read off the scaled generator and the mask: the best
-bounds out of r and into r, then one O(n^2) pass.
-Covectors, dimensions and covering flags come from the masks; each
-cell's witness is decoded from its closure as integer numerators over the
-common scale 4 * _UNIT * denom, its argmin masks are recomputed in ints
-and compared with the cell's own, and it becomes a tuple of Fractions only
-on the Face.
+argmin sets as bitmasks over the coordinates.  At a node with closure
+dist, the masks generator i can take are read off in closed form.  Shift
+the closure into the coordinates y_a = x_a - v_a of the scaled generator
+v: D[u][q] = dist[u][q] + (v_u - v_q) * _UNIT bounds y_q - y_u.  Call u
+dead when some D[u][q] < 0 and let need[u] = {q : D[u][q] <= 0}.  Then S
+is feasible iff no member of S is dead and need[u] lies inside S for every
+u in S.  Proof: every new constraint touches the lowest member r of S, so
+a new negative cycle runs r -> u in S (free), then a closed path u -> q
+(cost D[u][q]), then q -> r (free when q is in S, one strictness unit when
+it is not).  One pass over the subsets of the live coordinates lists the
+feasible masks.  Each is one star step at r, `_star`: with into[s] and
+out[t] the best bounds s -> r and r -> t, read off the scaled generator
+and the mask, each new closure entry is min(dist[s][t], into[s] + out[t]).
+The O(n^2) pass writing them, `_close`, runs only for a child the walk
+enters; a leaf needs only its closure's column minima, min(colmin[t],
+min(into) + out[t]) from its parent's.  Covectors, dimensions and covering
+flags come from the masks; each cell's witness is decoded from the column
+minima as integer numerators over the common scale 4 * _UNIT * denom, its
+argmin masks are recomputed in ints and compared with the cell's own, and
+it becomes a tuple of Fractions only on the Face.
 
 Argmin sets have one representation and one route: `_argmin_masks` gives
 a point's bitmask per generator, on ints or Fractions, and `_cover_bits`
@@ -52,27 +54,34 @@ are built only for returned values.
 One depth-first walk, `_walk`, serves the full complex, the verdict and
 its sub-searches.  Tropical dimension and purity ask only for the verdict
 (pure, dim), and the walk pruned to covering cells settles it, often
-early.  At a node, when some coordinate no chosen mask covers yet is dead
-for every remaining generator, no mask below the node can take it, since
-closure entries only fall with depth, so the node is dropped; at the last
-generator only masks covering the rest are kept.  A covering cell has at
-most min(n, m) dimensions: its m masks cover all n coordinates, so they
-merge into at most min(n, m) components.  Profiles ordered by inclusion, mask by mask,
-give the face order (Develin-Sturmfels): a profile inside another is the
-type of a cell whose closure holds the other's.  So once a leaf of
-dimension min(n, m) has appeared, a lower-dimensional covering leaf with
-no covering profile strictly inside its own lies in the closure of no top
-cell, and the polytope is impure of dimension min(n, m); the walk stops
-there.  Leaves are packed as keys sum(mask_i << n*i), on which "t inside
-f" reads t & ~f == 0; every leaf's witness is still decoded and
-re-checked.  The full complex records the keys of its covering faces too,
-and both settle (pure, dim) on them in one place, `_settle`.
+early.  Its nodes carry the dead mask of each generator still to place: u
+turns dead for v when into[u] + v_u + min_q(out[q] - v_q) < 0, O(n) per
+generator (`_carry`).  Dead stays dead, as closure entries only fall, so a
+child leaving a coordinate uncovered and dead for every generator still to
+place is dropped before its closure, or its star step if the parent's
+masks show it.  It branches next on the generator with the fewest live
+coordinates in its room, the lowest index on a tie (fail-first,
+Haralick-Elliott); masks stay indexed by generator, so leaves and
+witnesses do not depend on it.  The full complex keeps index order.  A
+covering cell has at most min(n, m) dimensions: its m masks cover all n
+coordinates, so they merge into at most min(n, m) components.  Profiles
+ordered by inclusion, mask by mask, give the face order
+(Develin-Sturmfels): a profile inside another is the type of a cell whose
+closure holds the other's.  So once a leaf of dimension min(n, m) has
+appeared, a lower-dimensional covering leaf with no covering profile
+strictly inside its own lies in the closure of no top cell, and the
+polytope is impure of dimension min(n, m); the walk stops there.  Leaves
+are packed as keys sum(mask_i << n*i), on which "t inside f" reads
+t & ~f == 0; every leaf's witness is still decoded and re-checked.  The
+full complex records the keys of its covering faces too, and both settle
+(pure, dim) on them in one place, `_settle`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
+from functools import reduce
+from operator import and_, itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -179,8 +188,8 @@ def _fresh(n):
     return dist
 
 
-def _insert_star(dist, n, units, mask):
-    """Add one argmin set's constraints to a closed bound matrix.
+def _star(dist, n, units, mask):
+    """The star step of one argmin set on a closed bound matrix.
 
     A bound x_b - x_a <= c is an edge a -> b of cost c; strict edges pay
     one strictness unit.  With r the lowest member of `mask` and `units`
@@ -191,8 +200,8 @@ def _insert_star(dist, n, units, mask):
     best ways into and out of r that end or start with at most one new
     edge.  A negative cycle also runs through r, so it shows in out alone:
     as out[r] < 0, or as out[q] + c < 0 for an edge (q, c) into r.
-    Entries that are _INF are no bound.  Returns the updated closure, the same
-    list when nothing tightened, or None when the system became infeasible.
+    Entries that are _INF are no bound.  Returns (into, out, tight), tight
+    when a new edge tightened a bound, or None when the system is infeasible.
     """
     low = mask & -mask
     rep = low.bit_length() - 1
@@ -226,8 +235,11 @@ def _insert_star(dist, n, units, mask):
         for s, d in enumerate(dist[w::n]):
             if d is not _INF and d + c < into[s]:
                 into[s] = d + c
-    if not tight:
-        return dist
+    return into, out, tight
+
+
+def _close(dist, n, into, out):
+    """The closure after a star step: min(dist[s][t], into[s] + out[t])."""
     heads = [(t, b) for t, b in enumerate(out) if b is not _INF]
     cur = dist[:]
     for s, a in enumerate(into):
@@ -240,6 +252,21 @@ def _insert_star(dist, n, units, mask):
     return cur
 
 
+def _carry(dead, gens, into, out):
+    """The dead masks, by the rule of `_feasible_masks`, of the generators
+    `gens` (scaled by _UNIT) after a star step, from theirs before it."""
+    heads = [(q, b) for q, b in enumerate(out) if b is not _INF]
+    tails = [(u, a) for u, a in enumerate(into) if a is not _INF]
+    below = []
+    for bits, v in zip(dead, gens):
+        low = min([b - v[q] for q, b in heads])
+        for u, a in tails:
+            if a + v[u] + low < 0:
+                bits |= 1 << u
+        below.append(bits)
+    return below
+
+
 def _feasible_masks(dist, n, units, room=-1):
     """Every argmin mask inside `room` a generator can take on top of a
     closed bound matrix, in increasing order, by the closed-form rule of
@@ -247,12 +274,14 @@ def _feasible_masks(dist, n, units, room=-1):
     for each u in S, with D[u][q] = dist[u][q] + units[u] - units[q].
 
     `units` is the generator scaled by _UNIT.  Entries that are _INF are
-    no bound.  A mask holding a dead coordinate is never feasible, so only
-    the submasks of the live coordinates inside `room` are tried.
+    no bound.  A mask holding a dead coordinate is never feasible; only the
+    rows inside `room` are read, and only submasks of its live coordinates.
     """
     need = [0] * n
     dead = 0
     for u in range(n):
+        if not room >> u & 1:
+            continue
         row = dist[u * n:(u + 1) * n]
         base = units[u]
         bits = 0
@@ -281,10 +310,10 @@ def _feasible_masks(dist, n, units, room=-1):
     return found
 
 
-def _witness(dist, n, lifted, scale, masks):
-    """Decode a closure into the integer numerators, over `scale`, of a
-    point whose argmin bitmasks are exactly `masks`; an AssertionError if
-    they are not.
+def _witness(colmin, lifted, masks):
+    """Decode the column minima of a closure into the integer numerators,
+    over the scale 4 * _UNIT * denom, of a point whose argmin bitmasks are
+    exactly `masks`; an AssertionError if they are not.
 
     Potentials from the closure satisfy every non-strict bound; strict
     bounds are realised by an epsilon of 1 / scale, small enough that one
@@ -294,8 +323,7 @@ def _witness(dist, n, lifted, scale, masks):
     both by a positive constant leaves every argmin set unchanged.
     """
     nums = []
-    for a in range(n):
-        best = min(dist[a::n])
+    for best in colmin:
         c = -((-best) // _UNIT)
         nums.append(4 * _UNIT * c - (c * _UNIT - best))
     if _argmin_masks(nums, lifted) != tuple(masks):
@@ -323,10 +351,11 @@ def realize_profile(profile, polytope: Polytope):
     masks = tuple(sum(1 << q for q in a) for a in sets)
     dist = _fresh(n)
     for ui, mask in zip(units, masks):
-        dist = _insert_star(dist, n, ui, mask)
-        if dist is None:
+        step = _star(dist, n, ui, mask)
+        if step is None:
             return None
-    return tuple(Fraction(v, scale) for v in _witness(dist, n, lifted, scale, masks))
+        dist = _close(dist, n, step[0], step[1])
+    return tuple(Fraction(v, scale) for v in _witness([min(dist[a::n]) for a in range(n)], lifted, masks))
 
 
 # ---------------------------------------------------------------------------
@@ -411,51 +440,52 @@ def _mask_dimension(masks, n):
     return len(parts) + n - union.bit_count()
 
 
-def _stranded(dist, n, rest, uncovered) -> bool:
-    """Is some coordinate of `uncovered` dead, by the test of
-    `_feasible_masks`, for every generator of `rest` (each scaled by
-    _UNIT)?  Closure entries only fall with depth, so such a coordinate
-    stays dead below this node: no mask takes it, and no leaf below is a
-    covering cell.
-    """
-    while uncovered:
-        low = uncovered & -uncovered
-        uncovered ^= low
-        u = low.bit_length() - 1
-        bounds = [(q, d) for q, d in enumerate(dist[u * n:(u + 1) * n]) if d is not _INF]
-        if all(any(d + units[u] - units[q] < 0 for q, d in bounds) for units in rest):
-            return True
-    return False
-
-
 def _walk(units, n, leaf, room, covering) -> bool:
     """The depth-first search over the argmin profiles of the generators
     `units` (ints scaled by _UNIT), which the full complex and the verdict
     share.
 
     It visits the feasible profiles whose i-th mask lies inside room[i]
-    and calls leaf(masks, closure) at each; with `covering` it drops every
-    subtree holding no covering profile and visits covering leaves only.
-    It stops at the first leaf for which `leaf` returns true, and returns
+    and calls leaf(masks, colmin) at each, with the column minima of the
+    leaf's closure.  With `covering` it visits covering leaves only, in
+    fail-first order, pruned by the dead masks it carries (module
+    docstring); without, it takes the generators in index order.  It
+    stops at the first leaf for which `leaf` returns true, and returns
     whether it stopped.
     """
-    m = len(units)
+    acc = [0] * len(units)
 
-    def walk(i, dist, acc, uncovered):
-        if covering and _stranded(dist, n, units[i:], uncovered):
-            return False
-        last = i + 1 == m
-        for mask in _feasible_masks(dist, n, units[i], room[i]):
-            if covering and last and uncovered & ~mask:
+    def walk(dist, colmin, rest, dead, uncovered):
+        lives = [(room[j] & ~bits).bit_count() for j, bits in zip(rest, dead)] if covering else [0]
+        k = lives.index(min(lives))
+        j, v, gone = rest[k], units[rest[k]], dead[k]
+        rest, dead = rest[:k] + rest[k + 1:], dead[:k] + dead[k + 1:]
+        gens = [units[q] for q in rest]
+        doomed = reduce(and_, dead, uncovered)
+        for mask in _feasible_masks(dist, n, v, room[j] & ~gone):
+            left = uncovered & ~mask
+            if covering and left & doomed:
                 continue
-            nxt = _insert_star(dist, n, units[i], mask)
-            if nxt is None:
+            step = _star(dist, n, v, mask)
+            if step is None:
                 raise AssertionError("a feasible argmin mask made the cell system infeasible")
-            if leaf(acc + (mask,), nxt) if last else walk(i + 1, nxt, acc + (mask,), uncovered & ~mask):
+            into, out, tight = step
+            below = dead
+            if covering and rest:
+                below = _carry(dead, gens, into, out)
+                if reduce(and_, below, left):
+                    continue
+            acc[j] = mask
+            low = min(into)
+            cols = [c if b is _INF or low + b >= c else low + b for c, b in zip(colmin, out)]
+            if not rest:
+                if leaf(tuple(acc), cols):
+                    return True
+            elif walk(_close(dist, n, into, out) if tight else dist, cols, rest, below, left):
                 return True
         return False
 
-    return walk(0, _fresh(n), (), (1 << n) - 1)
+    return walk(_fresh(n), [0] * n, tuple(range(len(units))), (0,) * len(units), (1 << n) - 1)
 
 
 def _key(masks, n) -> int:
@@ -498,8 +528,8 @@ def _compute_complex(polytope: Polytope) -> CellComplex:
     keyed = []
     keys = [[] for _ in range(n + 1)]
 
-    def add(acc, dist):
-        nums = _witness(dist, n, lifted, scale, acc)
+    def add(acc, colmin):
+        nums = _witness(colmin, lifted, acc)
         cov = _cover_bits(acc, n)
         witness = []
         for v in nums:
@@ -528,7 +558,7 @@ def _has_larger(units, n, masks) -> bool:
     """Does the walk over the generators `units` find a covering profile
     strictly inside `masks`, mask by mask?  Such a profile is the type of
     a covering cell whose closure holds the cell of `masks`."""
-    return _walk(units, n, lambda sub, _closure: sub != masks, masks, True)
+    return _walk(units, n, lambda sub, _colmin: sub != masks, masks, True)
 
 
 def _walk_verdict(polytope: Polytope):
@@ -542,7 +572,7 @@ def _walk_verdict(polytope: Polytope):
     or `_has_larger` finds a covering cell that does.
     """
     n = polytope.ambient
-    units, lifted, scale = _scaled(polytope)
+    units, lifted, _ = _scaled(polytope)
     m = len(units)
     top = min(n, m)
     keys = [[] for _ in range(top + 1)]
@@ -553,8 +583,8 @@ def _walk_verdict(polytope: Polytope):
             return False
         return not _has_larger(units, n, acc)
 
-    def leaf(acc, dist):
-        _witness(dist, n, lifted, scale, acc)
+    def leaf(acc, colmin):
+        _witness(colmin, lifted, acc)
         dim = _mask_dimension(acc, n)
         key = _key(acc, n)
         keys[dim].append(key)

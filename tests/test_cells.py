@@ -30,7 +30,6 @@ from tropcheck.cells import (
     _feasible_masks,
     _fresh,
     _has_larger,
-    _insert_star,
     _scaled,
     argmin_profile,
     covector_dimension,
@@ -163,6 +162,17 @@ def test_profile_validation():
 # -- star insertion against the edge-by-edge reference
 
 
+def _insert_star(dist, n, units, mask):
+    # one argmin set into a closure: the star step, then the O(n^2) pass the
+    # walk runs only for the children it enters; None when infeasible.
+    # Through the module, so that a counter on cells._star sees it
+    step = cells._star(dist, n, units, mask)
+    if step is None:
+        return None
+    into, out, tight = step
+    return cells._close(dist, n, into, out) if tight else dist
+
+
 def _ref_edges_for(vi, members, n):
     # constraint x_u - x_w <= c becomes edge (w, u, c); strict edges pay one
     # strictness unit.  Equalities inside the argmin set are chained through
@@ -263,15 +273,17 @@ def _ref_feasible_masks(dist, n, ui):
         _polytopes(5, 4, _rationals(st.integers(-2, 2), (1, 2, 3, 7))),
     ),
     st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
+    st.integers(0, 31),
 )
-def test_closed_form_masks_match_probing(p, picks):
+def test_closed_form_masks_match_probing(p, picks, room):
     # walk one random feasible DFS prefix, comparing the mask lists at
-    # every node on the way
+    # every node on the way; a room keeps exactly the masks inside it
     n = p.ambient
     dist = _fresh(n)
     for ui, pick in zip(_scaled(p)[0], picks):
         masks = _feasible_masks(dist, n, ui)
         assert masks == _ref_feasible_masks(dist, n, ui)
+        assert _feasible_masks(dist, n, ui, room) == [mask for mask in masks if mask & ~room == 0]
         mask = masks[pick % len(masks)]
         dist = _insert_star(dist, n, ui, mask)
         assert dist is not None
@@ -566,6 +578,165 @@ def test_covering_route_fails_exactly_where_the_full_complex_does():
     # and agree; a raise on either route fails the test
     for gens in _mixed_magnitude_generators():
         assert pure_dimension(Polytope(gens)) == _full_route(Polytope(gens))
+
+
+# -- the walk against the fixed-order reference
+#
+# The walk before fail-first order and carried dead masks: generators in
+# index order, a full closure for every child, and a node dropped when
+# `_ref_stranded`, recomputed from its closure, finds an uncovered
+# coordinate dead for every remaining generator.  Leaves get the column
+# minima of that closure.
+
+
+def _ref_dead(dist, n, v):
+    # the dead coordinates of `_feasible_masks`: some finite
+    # dist[u][q] + v[u] - v[q] < 0
+    return sum(
+        1 << u
+        for u in range(n)
+        if any(d is not _INF and d + v[u] - v[q] < 0 for q, d in enumerate(dist[u * n:(u + 1) * n]))
+    )
+
+
+def _ref_stranded(dist, n, rest, uncovered):
+    while uncovered:
+        low = uncovered & -uncovered
+        uncovered ^= low
+        u = low.bit_length() - 1
+        bounds = [(q, d) for q, d in enumerate(dist[u * n:(u + 1) * n]) if d is not _INF]
+        if all(any(d + units[u] - units[q] < 0 for q, d in bounds) for units in rest):
+            return True
+    return False
+
+
+def _ref_walk(units, n, leaf, room, covering):
+    m = len(units)
+
+    def walk(i, dist, acc, uncovered):
+        if covering and _ref_stranded(dist, n, units[i:], uncovered):
+            return False
+        last = i + 1 == m
+        for mask in _feasible_masks(dist, n, units[i], room[i]):
+            if covering and last and uncovered & ~mask:
+                continue
+            nxt = _insert_star(dist, n, units[i], mask)
+            assert nxt is not None
+            if last:
+                if leaf(acc + (mask,), [min(nxt[a::n]) for a in range(n)]):
+                    return True
+            elif walk(i + 1, nxt, acc + (mask,), uncovered & ~mask):
+                return True
+        return False
+
+    return walk(0, _fresh(n), (), (1 << n) - 1)
+
+
+def _leaves(walk, p, room, covering):
+    # (profile, witness numerators) of every leaf, sorted, so that order
+    # does not count and a leaf visited twice does
+    n = p.ambient
+    units, lifted, _ = _scaled(p)
+    found = []
+
+    def leaf(masks, colmin):
+        found.append((masks, cells._witness(colmin, lifted, masks)))
+        return False
+
+    walk(units, n, leaf, room, covering)
+    return sorted(found)
+
+
+# tie-heavy, rational, and integer entries scaled by 10^15, up to (5, 5);
+# the last two start from three coordinates and generators
+_walk_polytopes = st.one_of(
+    _polytopes(5, 5, _rationals(st.integers(-2, 2), (1, 2))),
+    _polytopes(5, 5, _rationals(st.integers(-20, 20), (1, 2, 3, 7)), least=3),
+    _polytopes(5, 5, st.integers(-20, 20).map(lambda e: e * 10**15), least=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walk_polytopes)
+def test_walk_visits_the_leaves_of_the_fixed_order_reference(p):
+    # the full complex, the covering walk, and room-restricted covering
+    # walks as `_has_larger` runs them, on the masks of covering leaves
+    n = p.ambient
+    m = len(p.extremals().generators)
+    full = [(1 << n) - 1] * m
+    assert _leaves(cells._walk, p, full, False) == _leaves(_ref_walk, p, full, False)
+    covering = _leaves(_ref_walk, p, full, True)
+    assert _leaves(cells._walk, p, full, True) == covering
+    for masks, _ in covering[::7]:
+        assert _leaves(cells._walk, p, masks, True) == _leaves(_ref_walk, p, masks, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walk_polytopes)
+def test_carried_dead_masks_match_the_closure(p):
+    # below the root, every node the covering walk enters got its dead
+    # masks from `_carry`, right after the star step that made it; they
+    # must equal the `_feasible_masks` rule on the node's closure.  Children
+    # the walk then drops are checked too
+    n = p.ambient
+    units = _scaled(p)[0]
+    m = len(units)
+    steps = []
+    checked = []
+
+    def star(dist, *args):
+        steps.append((dist, real_star(dist, *args)))
+        return steps[-1][1]
+
+    def carry(dead, gens, into, out):
+        below = real_carry(dead, gens, into, out)
+        dist, (_, _, tight) = steps[-1]
+        child = cells._close(dist, n, into, out) if tight else dist
+        assert below == [_ref_dead(child, n, v) for v in gens]
+        checked.append(below)
+        return below
+
+    real_star, real_carry = cells._star, cells._carry
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cells, "_star", star)
+        patch.setattr(cells, "_carry", carry)
+        cells._walk(units, n, lambda masks, colmin: False, [(1 << n) - 1] * m, True)
+        if m > 1:
+            assert checked
+
+
+def test_verdict_walk_makes_fewer_stars_than_the_reference(monkeypatch):
+    # the verdict, its `_has_larger` sub-walks included, on forty (5, 4)
+    # polytopes: the walk's star steps against the reference's insertions.
+    # The counts are deterministic, and the ceilings are this walk's own,
+    # so a change that re-inflates it fails here: index order takes 2665
+    # stars, and entering the children the dead masks drop, 1627 closures
+    calls = {"_star": 0, "_close": 0}
+
+    def counted(name):
+        real = getattr(cells, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cells, name, call)
+
+    def run(walk):
+        monkeypatch.setattr(cells, "_walk", walk)
+        calls.update(_star=0, _close=0)
+        verdicts = [pure_dimension(random_polytope(5, 4, seed=s)) for s in range(40)]
+        return verdicts, calls["_star"], calls["_close"]
+
+    counted("_star")
+    counted("_close")
+    real_walk = cells._walk
+    verdicts, stars, closures = run(real_walk)
+    reference, insertions, _ = run(_ref_walk)
+    assert verdicts == reference
+    assert stars < insertions
+    assert stars <= 2466
+    assert closures <= 586
 
 
 # -- invariance under translation, positive integer scaling and permutation

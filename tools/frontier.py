@@ -23,9 +23,18 @@ before its covering cells are all listed.  Both are called with the nominal
 At the default bound of 10^7 both refuse, with ScaleLimitExceeded, every
 shape whose (2^n - 1)^m exceeds it: (5,5), (6,4), (7,4), (8,3) and up.
 
+Next to each shape's times goes the star count of its slowest polytope:
+the `cells._star` calls (one star step per argmin mask the walk tries) of
+one more, untimed run of the route on it, counted by wrapping
+`cells._star` here.  A polytope's count is deterministic: between two
+FRONTIER files a changed count on the same slowest polytope is changed
+work, and a time that moves without it is per-step speed or machine
+noise.
+
 Prints, per route, the frontier (for each n the largest m within the
-limit) and the per-shape median times in ms; with --out the same goes to
-a JSON file, with the Python version, CPU count and REPEATS.
+limit); with --out the frontier, the per-shape median times in ms and the
+star counts go to a JSON file, with the Python version, CPU count and
+REPEATS.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from time import perf_counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from tropcheck import Polytope, cell_complex, pure_dimension  # noqa: E402
+from tropcheck import Polytope, cell_complex, cells, pure_dimension  # noqa: E402
 from tropcheck.oracles import random_vector  # noqa: E402
 
 ROUTES = {"cell_complex": cell_complex, "pure_dimension": pure_dimension}
@@ -52,8 +61,27 @@ MAX_N = 8
 MAX_M = 8
 
 
-def shape_times(route, n: int, m: int) -> list:
-    """Median seconds per polytope of one shape, stopping at the first over the limit."""
+def star_count(route, gens) -> int:
+    """The `cells._star` calls of one run of the route on a fresh polytope."""
+    real = cells._star
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return real(*args)
+
+    cells._star = counted
+    try:
+        route(Polytope(gens), UNBOUNDED)
+    finally:
+        cells._star = real
+    return count
+
+
+def shape_times(route, n: int, m: int):
+    """Median seconds per polytope of one shape, stopping at the first over
+    the limit, and the star count of the slowest of them."""
     rng = random.Random(5)
     polytopes = [[random_vector(n, rng=rng, lo=-20, hi=20) for _ in range(m)] for _ in range(5)]
     times = []
@@ -67,20 +95,21 @@ def shape_times(route, n: int, m: int) -> list:
         times.append(statistics.median(runs))
         if times[-1] >= LIMIT_S:
             break
-    return times
+    return times, star_count(route, polytopes[times.index(max(times))])
 
 
 def frontier(route) -> dict:
     largest = {}
     times_ms = {}
+    stars = {}
     for n in range(3, MAX_N + 1):
         for m in range(2, MAX_M + 1):
-            times = shape_times(route, n, m)
+            times, stars[f"{n},{m}"] = shape_times(route, n, m)
             times_ms[f"{n},{m}"] = [round(t * 1e3, 1) for t in times]
             if max(times) >= LIMIT_S:
                 break
             largest[n] = m
-    return {"largest_m": largest, "times_ms": times_ms}
+    return {"largest_m": largest, "times_ms": times_ms, "slowest_stars": stars}
 
 
 def main(argv=None) -> int:
