@@ -58,7 +58,7 @@ def is_idempotent(a: Matrix) -> bool:
     if not a.is_square:
         raise NotSquare("idempotency is defined for square matrices")
     x = a._ints()[1]
-    return _product(x, x, a.cols) == x
+    return _product(x, x) == x
 
 
 def regularity_witness(a: Matrix) -> RegularityReport:
@@ -73,7 +73,7 @@ def regularity_witness(a: Matrix) -> RegularityReport:
         raise NonFiniteEntries("regularity is decided for finite matrices")
     b = double_residual(a)
     _, (x, y) = _common(a._ints(), b._ints())
-    regular = _product(_product(x, y, a.cols), x, a.cols) == x
+    regular = _product(_product(x, y), x) == x
     return RegularityReport(regular=regular, witness=b if regular else None)
 
 
@@ -93,7 +93,7 @@ def metric_closure(a: Matrix) -> Matrix:
     # square until walks of n steps are covered: no simple cycle is longer
     walk = 1
     while walk < n:
-        x = _product(x, x, n)
+        x = _product(x, x)
         walk *= 2
     for i in range(n):
         if x[i][i] > 0:

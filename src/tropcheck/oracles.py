@@ -110,7 +110,7 @@ def _random_ints(polytope: Polytope, rng, lo=-5, hi=5):
     coefficients random_entry(rng, lo, hi), integers, times the denominator."""
     denom, gens = polytope._ints()
     lams = [rng.randint(lo, hi) * denom for _ in gens]
-    return _combine(lams, gens, polytope.ambient)
+    return _combine(lams, gens)
 
 
 def polytope_corpus(seed, count: int, max_n=4, max_m=4, lo=-5, hi=5) -> tuple:

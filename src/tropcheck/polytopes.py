@@ -10,19 +10,25 @@ set up to scaling.
 Membership is decided by the principal-solution test: x lies in the span
 iff recombining the greatest admissible coefficients reproduces x exactly.
 
-Each polytope fills, on first use, one integer frame: the lcm of its
-generators' denominators and the generators multiplied through by it, as
-int tuples in `generators` order (see `semiring` for why this is exact).
+The stored form is the integer frame: the lcm of the canonical generators'
+denominators and the generators multiplied through by it, as int tuples in
+`generators` order (see `semiring` for why this is exact).  One internal
+constructor, `_from_frame`, takes int rows over any common denominator to
+that form in ints; `Polytope(points)` validates its points and goes
+through it, and so do the derived polytopes (`extremals()`, `row_space()`,
+`embed_minimal()`'s image, `column_space` and `row_space` of a `Matrix`).
 Membership, extremal reduction and the min-plus convexity breakpoints run
 on frames; a query point is lifted with the polytope to the lcm of both
 denominators.  The extremal polytope has a frame of its own, over the lcm
 of its own generators' denominators, and the cells read that one.
-`Fraction`s are built only for what the API returns: the generators and
-the coefficients.
+`Fraction`s are built only for what the API returns: the generators, on
+first access, and the coefficients.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from math import gcd
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, EmptyPolytope, NonFiniteEntries
@@ -38,42 +44,70 @@ def canonical_point(values) -> tuple:
     return tuple(e - top for e in v)
 
 
+def _shifted(row) -> tuple:
+    """`canonical_point` of an int frame row: its maximum subtracted."""
+    top = max(row)
+    return row if top == 0 else tuple([e - top for e in row])
+
+
 def _member(x, gens) -> bool:
-    return _combine(_principal(x, gens), gens, len(x)) == x
+    return _combine(_principal(x, gens), gens) == x
 
 
 class Polytope:
     """A non-empty finitely generated submodule of FT^n."""
 
     # Derived objects are memoised on the instance.  Each is a pure function
-    # of the generators, so a concurrent first computation writes an equal
-    # value and sharing a polytope across threads stays safe.
-    __slots__ = ("ambient", "generators", "_frame", "_extremals", "_row_space", "_complex", "_covering")
+    # of the frame, so a concurrent first computation writes an equal value
+    # and sharing a polytope across threads stays safe.
+    __slots__ = ("ambient", "_frame", "_generators", "_extremals", "_row_space", "_complex", "_covering")
 
     def __init__(self, points):
-        pts = sorted({canonical_point(p) for p in points})
+        pts = [as_vector(p, finite=True) for p in points]
         if not pts:
             raise EmptyPolytope("a polytope needs at least one generator")
         n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise DimensionMismatch("generators of mixed length")
-        self._setup(n, tuple(pts))
+        self._setup(n, *_frame_of(pts))
 
-    def _setup(self, ambient: int, generators: tuple) -> None:
+    @classmethod
+    def _from_frame(cls, ambient: int, denom: int, rows) -> "Polytope":
+        # internal: the polytope generated by int rows over a common
+        # positive denominator, which need not be the lcm
+        p = object.__new__(cls)
+        p._setup(ambient, denom, rows)
+        return p
+
+    def _setup(self, ambient: int, denom: int, rows) -> None:
+        # The canonical form in ints: each row's maximum subtracted, then
+        # distinct rows in order.  Over one positive denominator the int
+        # order is the Fraction order.  Dividing out the gcd leaves the
+        # frame over the lcm of the canonical generators' denominators.
+        rows = sorted(set(map(_shifted, rows)))
+        g = gcd(denom, *chain.from_iterable(rows))
+        if g != 1:
+            denom //= g
+            rows = [tuple([e // g for e in row]) for row in rows]
         self.ambient = ambient
-        self.generators = generators
-        self._frame = None
+        self._frame = (denom, tuple(rows))
+        self._generators = None
         self._extremals = None
         self._row_space = None
         self._complex = None  # owned by cells.cell_complex
         self._covering = None  # owned by cells._verdict
 
+    @property
+    def generators(self) -> tuple:
+        """The canonical generators as `Fraction` tuples, built on first use."""
+        if self._generators is None:
+            self._generators = _fractions(self._frame[1], self._frame[0])
+        return self._generators
+
     def _ints(self):
         """The integer frame (denom, rows): the lcm of the generators'
         denominators and the generators multiplied through by it, as int
-        tuples in `generators` order.  Filled on first use."""
-        if self._frame is None:
-            self._frame = _frame_of(self.generators)
+        tuples in `generators` order."""
         return self._frame
 
     # -- membership
@@ -92,7 +126,7 @@ class Polytope:
         x = as_vector(x, finite=True, length=self.ambient)
         denom, (gens, (point,)) = _common(self._ints(), _frame_of((x,)))
         lams = _principal(point, gens)
-        if _combine(lams, gens, self.ambient) == point:
+        if _combine(lams, gens) == point:
             return _fractions((lams,), denom)[0]
         return None
 
@@ -107,7 +141,7 @@ class Polytope:
         A polytope whose generators are all extremal is its own extremal
         set."""
         if self._extremals is None:
-            rows = self._ints()[1]
+            denom, rows = self._frame
             keep = list(range(len(rows)))
             i = 0
             while i < len(keep):
@@ -119,25 +153,25 @@ class Polytope:
             if len(keep) == len(rows):
                 ext = self
             else:
-                # a subset of sorted, distinct, canonical generators is one too
-                ext = object.__new__(Polytope)
-                ext._setup(self.ambient, tuple(self.generators[k] for k in keep))
+                ext = Polytope._from_frame(self.ambient, denom, [rows[k] for k in keep])
             ext._extremals = ext
             self._extremals = ext
         return self._extremals
 
     def generator_dimension(self) -> int:
         """Minimal number of generators under scaling and max."""
-        return len(self.extremals().generators)
+        return len(self.extremals()._frame[1])
 
     def generator_matrix(self) -> Matrix:
         """The matrix whose columns are the canonical extremal generators."""
-        return Matrix.from_columns(self.extremals().generators)
+        denom, rows = self.extremals()._frame
+        return Matrix._from_ints(denom, tuple(zip(*rows)))
 
     def row_space(self) -> "Polytope":
         """Polytope generated by the rows of the canonical generator matrix."""
         if self._row_space is None:
-            self._row_space = Polytope(self.generator_matrix().entries)
+            denom, rows = self.extremals()._frame
+            self._row_space = Polytope._from_frame(len(rows), denom, tuple(zip(*rows)))
         return self._row_space
 
     def dual_dimension(self) -> int:
@@ -154,19 +188,20 @@ class Polytope:
         Keeps one row of the generator matrix for each extremal point of
         the row space and restricts every generator to the kept rows.
         """
-        gens = self.extremals().generators
-        rows = self.generator_matrix().entries
-        targets = self.row_space().extremals().generators
+        denom, gens = self.extremals()._frame
+        own, targets = self.row_space().extremals()._frame
+        targets = _lift(targets, denom // own)  # own divides denom
+        rows = list(map(_shifted, zip(*gens)))
         selection = []
         for target in targets:
             for p, row in enumerate(rows):
-                if p not in selection and canonical_point(row) == target:
+                if p not in selection and row == target:
                     selection.append(p)
                     break
         selection.sort()
         if len(selection) != len(targets):
             raise AssertionError("every extremal row must occur among the rows")
-        embedded = Polytope([tuple(g[p] for p in selection) for g in gens])
+        embedded = Polytope._from_frame(len(selection), denom, [tuple([g[p] for p in selection]) for g in gens])
         return EmbeddingReport(
             target_dim=len(targets),
             embedded=embedded,
@@ -189,6 +224,8 @@ class Polytope:
         gens = _lift(ext, denom // own)  # own divides denom
         for g in gens:
             for h in gens:
+                if h is g:
+                    continue  # min(g, g) = g is a member: nothing to decide
                 for c in range(self.ambient):
                     t = g[c] - h[c]
                     w = tuple(min(gp, t + hp) for gp, hp in zip(g, h))
@@ -202,11 +239,11 @@ class Polytope:
         return (
             isinstance(other, Polytope)
             and self.ambient == other.ambient
-            and self.generators == other.generators
+            and self._frame == other._frame
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.generators))
+        return hash((self.ambient, self._frame))
 
     def __repr__(self):
         pts = ", ".join("(" + ",".join(str(e) for e in g) + ")" for g in self.generators)
@@ -225,11 +262,13 @@ def column_space(a: Matrix) -> Polytope:
     """Polytope generated by the columns of a finite matrix."""
     if not a.is_finite:
         raise NonFiniteEntries("column spaces are taken for finite matrices")
-    return Polytope([a.col(j) for j in range(a.cols)])
+    denom, rows = a._ints()
+    return Polytope._from_frame(a.rows, denom, tuple(zip(*rows)))
 
 
 def row_space(a: Matrix) -> Polytope:
     """Polytope generated by the rows of a finite matrix."""
     if not a.is_finite:
         raise NonFiniteEntries("row spaces are taken for finite matrices")
-    return Polytope(list(a.entries))
+    denom, rows = a._ints()
+    return Polytope._from_frame(a.cols, denom, rows)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
 from .errors import DimensionMismatch, NonFiniteEntries, NotSquare
 
@@ -185,17 +186,19 @@ def _principal(x, gens):
 
     The generators must be finite; BOTTOM entries of x propagate.
     """
-    return tuple(min(xp - gp for xp, gp in zip(x, g)) for g in gens)
+    return tuple([min(map(sub, x, g)) for g in gens])
 
 
-def _combine(lams, gens, n):
-    """The max-plus combination max_t (lams[t] + gens[t]) of n-vectors."""
-    return tuple(max(lams[t] + gens[t][p] for t in range(len(gens))) for p in range(n))
+def _combine(lams, gens):
+    """The max-plus combination max_t (lams[t] + gens[t]): the maximum of
+    each column of the shifted rows.  `zip(*rows)` hands `max` a tuple
+    even for one generator."""
+    return tuple(map(max, zip(*[[lam + e for e in g] for lam, g in zip(lams, gens)])))
 
 
-def _product(a, b, cols):
-    """Rows of the max-plus product of the rows a and b; b has `cols` columns."""
-    return tuple(_combine(row, b, cols) for row in a)
+def _product(a, b):
+    """Rows of the max-plus product of the rows a and b."""
+    return tuple([_combine(row, b) for row in a])
 
 
 def _residual(a, b):
@@ -338,7 +341,7 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         denom, (a, b) = _common(self._ints(), other._ints())
-        return Matrix._from_ints(denom, _product(a, b, other.cols))
+        return Matrix._from_ints(denom, _product(a, b))
 
     __matmul__ = mul
 

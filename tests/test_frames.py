@@ -2,26 +2,34 @@
 
 Membership, extremal reduction, min-plus convexity, same_span, the infimum
 matrix, the max-plus product and the residuals now run the kernels on ints
-over a common denominator.  The references below are those routes as they
-ran on `Fraction` entries, kept as oracles: the same `_principal` and
-`_combine` kernels fed with the rationals themselves.
+over a common denominator, and a polytope is built from and stored as its
+frame.  The references below are those routes as they ran on `Fraction`
+entries, kept as oracles: the same `_principal` and `_combine` kernels fed
+with the rationals themselves, and the canonical form taken point by point.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcheck import (
     BOTTOM,
+    DimensionMismatch,
+    EmptyPolytope,
     Matrix,
+    NonFiniteEntries,
     Polytope,
+    canonical_point,
+    column_space,
     double_residual,
     infimum_matrix,
     is_idempotent,
     left_residual,
     right_residual,
+    row_space,
     same_span,
 )
 from tropcheck.oracles import minplus_sampling_refuter, random_idempotent, random_point
@@ -32,16 +40,31 @@ from tropcheck.semiring import _combine, _frame_of, _principal
 
 
 def ref_member(x, gens):
-    return _combine(_principal(x, gens), gens, len(x)) == x
+    return _combine(_principal(x, gens), gens) == x
 
 
 def ref_coefficients(p, x):
     lams = _principal(x, p.generators)
-    return lams if _combine(lams, p.generators, p.ambient) == x else None
+    return lams if _combine(lams, p.generators) == x else None
+
+
+def ref_canonical(points):
+    """The generators `Polytope.__init__` stored before the frame was the
+    stored form: each point's canonical form, distinct, sorted."""
+    pts = tuple(sorted({canonical_point(p) for p in points}))
+    if not pts:
+        raise EmptyPolytope("a polytope needs at least one generator")
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise DimensionMismatch("generators of mixed length")
+    return pts
 
 
 def ref_extremals(p):
-    gens = list(p.generators)
+    return ref_reduce(p.generators)
+
+
+def ref_reduce(generators):
+    gens = list(generators)
     i = 0
     while i < len(gens):
         g = gens.pop(i)
@@ -50,6 +73,17 @@ def ref_extremals(p):
         gens.insert(i, g)
         i += 1
     return tuple(gens)
+
+
+def ref_embedding(p):
+    """`embed_minimal` on Fractions: (kept rows, embedded generators)."""
+    gens = ref_extremals(p)
+    rows = tuple(zip(*gens))
+    selection = []
+    for target in ref_reduce(ref_canonical(rows)):
+        selection.append(next(k for k, row in enumerate(rows) if k not in selection and canonical_point(row) == target))
+    selection.sort()
+    return tuple(selection), ref_canonical([tuple(g[q] for q in selection) for g in gens])
 
 
 def ref_min_plus_convex(p):
@@ -71,7 +105,7 @@ def ref_same_span(p, q):
 
 
 def ref_product(a, b):
-    return tuple(_combine(row, b, len(b[0])) for row in a)
+    return tuple(_combine(row, b) for row in a)
 
 
 def ref_left_residual(a, b):
@@ -169,7 +203,7 @@ def test_sampled_points_match_the_fraction_route(p, seed):
     rng, ref = random.Random(seed), random.Random(seed)
     for _ in range(3):
         lams = [Fraction(ref.randint(-5, 5)) for _ in p.generators]
-        want = _combine(lams, p.generators, p.ambient)
+        want = _combine(lams, p.generators)
         got = random_point(p, rng=rng)
         assert typed([got]) == typed([want])
     pair = minplus_sampling_refuter(p, 20, seed=seed)
@@ -213,3 +247,84 @@ def test_idempotency_check_matches_the_fraction_route_on_idempotents(n, seed, de
     assert is_idempotent(a) and ref_product(a.entries, a.entries) == a.entries
     bumped = Matrix([[v + (i == 0 and j == n - 1) for j, v in enumerate(row)] for i, row in enumerate(a.entries)])
     assert is_idempotent(bumped) == (ref_product(bumped.entries, bumped.entries) == bumped.entries)
+
+
+# -- construction: the frame is the stored form
+
+
+_scaled = st.builds(lambda v: v * 10**15, st.integers(-20, 20))
+_small_rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))
+_inputs = st.one_of(st.integers(-20, 20), _small_rationals, _scaled, st.one_of(_scaled, _small_rationals))
+
+
+@st.composite
+def _point_lists(draw, max_n=4, max_m=5):
+    """Integer, rational (denominators up to 7), 10^15-scaled or mixed
+    points, repeats and translates included."""
+    values = draw(st.sampled_from((st.integers(-20, 20), _small_rationals, _scaled, _inputs)))
+    n = draw(st.integers(1, max_n))
+    points = [tuple(draw(values) for _ in range(n)) for _ in range(draw(st.integers(1, max_m)))]
+    if draw(st.booleans()):
+        shift = draw(values)
+        points.append(tuple(v + shift for v in draw(st.sampled_from(points))))
+    return points
+
+
+def _assert_framed(q):
+    assert q._ints() == _frame_of(q.generators)
+    assert all(type(e) is Fraction for g in q.generators for e in g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_lists())
+def test_construction_matches_the_fraction_route(points):
+    p = Polytope(points)
+    assert p.generators == ref_canonical(points)
+    assert p == Polytope(p.generators) and hash(p) == hash(Polytope(p.generators))
+    ext = p.extremals()
+    assert ext.generators == ref_extremals(p)
+    rows = p.row_space()
+    assert rows.generators == ref_canonical(zip(*ext.generators))
+    embedding = p.embed_minimal()
+    selection, embedded = ref_embedding(p)
+    assert embedding.row_selection == selection
+    assert embedding.embedded.generators == embedded
+    inf = infimum_matrix(p)
+    assert column_space(inf).generators == ref_canonical(zip(*inf.entries))
+    for q in (p, ext, rows, rows.extremals(), embedding.embedded, column_space(inf)):
+        _assert_framed(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matrix_spaces_match_the_fraction_route(data):
+    # frames of kernel results are over a common denominator, not always the lcm
+    a = data.draw(_matrices(_rationals))
+    b = data.draw(_matrices(_rationals, rows=a.cols))
+    for m in (a, a.mul(b), right_residual(a, a)):
+        assert column_space(m).generators == ref_canonical(zip(*m.entries))
+        assert row_space(m).generators == ref_canonical(m.entries)
+        _assert_framed(column_space(m))
+        _assert_framed(row_space(m))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [],
+        [(0, 1), (0, 1, 2)],
+        [(0, 1, 2), (1, 2)],
+        [(0, BOTTOM)],
+        [(0, 1.5)],
+        [(True, 0)],
+        [(0, 1), (0, 0.5)],
+        [()],
+    ],
+)
+def test_construction_errors_are_unchanged(points):
+    with pytest.raises(Exception) as want:
+        ref_canonical(points)
+    with pytest.raises(want.type) as got:
+        Polytope(points)
+    assert str(got.value) == str(want.value)
+    assert want.type in (EmptyPolytope, DimensionMismatch, NonFiniteEntries, TypeError)

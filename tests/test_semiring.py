@@ -23,7 +23,7 @@ from tropcheck import (
     vec_min,
     vec_scale,
 )
-from tropcheck.semiring import tadd, tmul
+from tropcheck.semiring import _combine, _principal, _product, tadd, tmul
 
 finite = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 entries = st.one_of(st.just(BOTTOM), finite)
@@ -315,3 +315,51 @@ def test_infimum_matrix_matches_entrywise_formula(data, n, m):
     gens = p.extremals().generators
     expected = [[min(g[j] - g[i] for g in gens) for i in range(n)] for j in range(n)]
     assert infimum_matrix(p) == Matrix(expected)
+
+
+# -- the kernels against the generator-expression loops they replaced
+
+
+def ref_principal(x, gens):
+    return tuple(min(xp - gp for xp, gp in zip(x, g)) for g in gens)
+
+
+def ref_combine(lams, gens, n):
+    return tuple(max(lams[t] + gens[t][p] for t in range(len(gens))) for p in range(n))
+
+
+_ints = st.integers(-10**18, 10**18)
+_int_entries = st.one_of(_ints, _ints, _ints, st.just(BOTTOM))
+
+
+@st.composite
+def _int_frame(draw, values, n=None, m=None):
+    """m int rows of length n: one coordinate and one row drawn often."""
+    n = n or draw(st.sampled_from((1, 1, 2, 3, 5)))
+    m = m or draw(st.sampled_from((1, 1, 2, 4, 6)))
+    return tuple(tuple(draw(values) for _ in range(n)) for _ in range(m))
+
+
+@given(st.data())
+def test_kernels_match_the_generator_expression_loops(data):
+    gens = data.draw(_int_frame(_ints))
+    n, m = len(gens[0]), len(gens)
+    # BOTTOM in x propagates into the principal solution
+    x = data.draw(_int_frame(_int_entries, n=n, m=1))[0]
+    assert _principal(x, gens) == ref_principal(x, gens)
+    # BOTTOM in the coefficients and in the right factor drops out of the max
+    lams = data.draw(_int_frame(_int_entries, n=m, m=1))[0]
+    right = data.draw(_int_frame(_int_entries, n=n, m=m))
+    assert _combine(lams, right) == ref_combine(lams, right, n)
+    left = data.draw(_int_frame(_int_entries, n=m))
+    assert _product(left, right) == tuple(ref_combine(row, right, n) for row in left)
+
+
+def test_one_generator_and_one_coordinate():
+    # `max` must get each column as a tuple: max(3) or max(BOTTOM) would raise
+    assert _combine((3,), ((1, -2),)) == ref_combine((3,), ((1, -2),), 2) == (4, 1)
+    assert _combine((BOTTOM,), ((1, -2),)) == (BOTTOM, BOTTOM)
+    assert _combine((0, BOTTOM), ((5,), (7,))) == ref_combine((0, BOTTOM), ((5,), (7,)), 1) == (5,)
+    assert _combine((2,), ((BOTTOM,),)) == (BOTTOM,)
+    assert _principal((BOTTOM,), ((4,),)) == ref_principal((BOTTOM,), ((4,),)) == (BOTTOM,)
+    assert _principal((3, 1), ((0, 0),)) == (1,)

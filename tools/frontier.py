@@ -23,18 +23,18 @@ before its covering cells are all listed.  Both are called with the nominal
 At the default bound of 10^7 both refuse, with ScaleLimitExceeded, every
 shape whose (2^n - 1)^m exceeds it: (5,5), (6,4), (7,4), (8,3) and up.
 
-Next to each shape's times goes the star count of its slowest polytope:
-the `cells._star` calls (one star step per argmin mask the walk tries) of
-one more, untimed run of the route on it, counted by wrapping
-`cells._star` here.  A polytope's count is deterministic: between two
-FRONTIER files a changed count on the same slowest polytope is changed
-work, and a time that moves without it is per-step speed or machine
-noise.
+Beside each polytope's time goes its star count: the `cells._star` calls
+(one star step per argmin mask the walk tries) of one more, untimed run of
+the route on it, counted by wrapping `cells._star` here.  A count is
+deterministic, and every polytope timed has one, so the column does not
+depend on which polytope happened to be slowest.  Between two FRONTIER
+files a changed count is changed work, and a time that moves without it is
+per-step speed or machine noise.
 
 Prints, per route, the frontier (for each n the largest m within the
-limit); with --out the frontier, the per-shape median times in ms and the
-star counts go to a JSON file, with the Python version, CPU count and
-REPEATS.
+limit); with --out the frontier and, per shape, the median times in ms
+and the star counts, polytope by polytope, go to a JSON file, with the
+Python version, CPU count and REPEATS.
 """
 
 from __future__ import annotations
@@ -80,11 +80,12 @@ def star_count(route, gens) -> int:
 
 
 def shape_times(route, n: int, m: int):
-    """Median seconds per polytope of one shape, stopping at the first over
-    the limit, and the star count of the slowest of them."""
+    """Median seconds and star count of each polytope of one shape,
+    stopping at the first over the limit."""
     rng = random.Random(5)
     polytopes = [[random_vector(n, rng=rng, lo=-20, hi=20) for _ in range(m)] for _ in range(5)]
     times = []
+    stars = []
     for gens in polytopes:
         runs = []
         for _ in range(REPEATS):
@@ -93,9 +94,10 @@ def shape_times(route, n: int, m: int):
             route(p, UNBOUNDED)
             runs.append(perf_counter() - t0)
         times.append(statistics.median(runs))
+        stars.append(star_count(route, gens))
         if times[-1] >= LIMIT_S:
             break
-    return times, star_count(route, polytopes[times.index(max(times))])
+    return times, stars
 
 
 def frontier(route) -> dict:
@@ -109,7 +111,7 @@ def frontier(route) -> dict:
             if max(times) >= LIMIT_S:
                 break
             largest[n] = m
-    return {"largest_m": largest, "times_ms": times_ms, "slowest_stars": stars}
+    return {"largest_m": largest, "times_ms": times_ms, "stars": stars}
 
 
 def main(argv=None) -> int:
