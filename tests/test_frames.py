@@ -81,7 +81,8 @@ def ref_embedding(p):
     rows = tuple(zip(*gens))
     selection = []
     for target in ref_reduce(ref_canonical(rows)):
-        selection.append(next(k for k, row in enumerate(rows) if k not in selection and canonical_point(row) == target))
+        kept = (k for k, row in enumerate(rows) if k not in selection and canonical_point(row) == target)
+        selection.append(next(kept))
     selection.sort()
     return tuple(selection), ref_canonical([tuple(g[q] for q in selection) for g in gens])
 
@@ -254,14 +255,14 @@ def test_idempotency_check_matches_the_fraction_route_on_idempotents(n, seed, de
 
 _scaled = st.builds(lambda v: v * 10**15, st.integers(-20, 20))
 _small_rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))
-_inputs = st.one_of(st.integers(-20, 20), _small_rationals, _scaled, st.one_of(_scaled, _small_rationals))
+_mixed = st.one_of(st.integers(-20, 20), _small_rationals, _scaled)
 
 
 @st.composite
 def _point_lists(draw, max_n=4, max_m=5):
     """Integer, rational (denominators up to 7), 10^15-scaled or mixed
     points, repeats and translates included."""
-    values = draw(st.sampled_from((st.integers(-20, 20), _small_rationals, _scaled, _inputs)))
+    values = draw(st.sampled_from((st.integers(-20, 20), _small_rationals, _scaled, _mixed)))
     n = draw(st.integers(1, max_n))
     points = [tuple(draw(values) for _ in range(n)) for _ in range(draw(st.integers(1, max_m)))]
     if draw(st.booleans()):
