@@ -62,19 +62,17 @@ place is dropped before its closure, or its star step if the parent's
 masks show it.  It branches next on the generator with the fewest live
 coordinates in its room, the lowest index on a tie (fail-first,
 Haralick-Elliott); masks stay indexed by generator, so leaves and
-witnesses do not depend on it.  The full complex keeps index order.  A
-covering cell has at most min(n, m) dimensions: its m masks cover all n
-coordinates, so they merge into at most min(n, m) components.  Profiles
-ordered by inclusion, mask by mask, give the face order
+witnesses do not depend on it.  The full complex keeps index order.
+Profiles ordered by inclusion, mask by mask, give the face order
 (Develin-Sturmfels): a profile inside another is the type of a cell whose
-closure holds the other's.  So once a leaf of dimension min(n, m) has
-appeared, a lower-dimensional covering leaf with no covering profile
-strictly inside its own lies in the closure of no top cell, and the
-polytope is impure of dimension min(n, m); the walk stops there.  Leaves
-are packed as keys sum(mask_i << n*i), on which "t inside f" reads
-t & ~f == 0; every leaf's witness is still decoded and re-checked.  The
-full complex records the keys of its covering faces too, and both settle
-(pure, dim) on them in one place, `_settle`.
+closure holds the other's.  The tropical dimension is known before the
+walk, as the tropical rank of the generator matrix
+(Develin-Santos-Sturmfels), so the first covering leaf below it with no
+covering profile strictly inside its own proves the polytope impure and
+stops the walk.  Leaves are packed as keys sum(mask_i << n*i), on which
+"t inside f" reads t & ~f == 0; every leaf's witness is still decoded and
+re-checked.  The full complex records the keys of its covering faces too,
+and both settle (pure, dim) on them in one place, `_settle`.
 """
 
 from __future__ import annotations
@@ -93,7 +91,7 @@ from .errors import (
     ScaleLimitExceeded,
 )
 from .polytopes import Polytope, _member, canonical_point, column_space
-from .semiring import Matrix, _principal, as_vector, vec_max, vec_scale
+from .semiring import Matrix, _principal, _tropical_rank, as_vector, vec_max, vec_scale
 
 DEFAULT_MAX_TUPLES = 10**7
 
@@ -565,39 +563,35 @@ def _walk_verdict(polytope: Polytope):
     """(pure, tropical_dim) from the covering leaves of the pruned walk,
     which stops at the first impurity certificate (module docstring).
 
-    Leaves are kept as packed profile keys, one list per dimension.  Until
-    a leaf of the largest possible dimension min(n, m) appears they are
-    only recorded; from then on each lower leaf, the earlier ones first,
-    certifies impurity unless a recorded larger cell's closure holds it
-    or `_has_larger` finds a covering cell that does.
+    The top dimension is the tropical rank of the generators.  Leaves are
+    kept as packed profile keys, one list per dimension, and each lower
+    leaf certifies impurity unless a recorded larger cell's closure holds
+    it or `_has_larger` finds a covering cell that does.  A leaf above the
+    rank, or a finished walk whose dimension is not the rank, fails the
+    cross-check with an AssertionError.
     """
     n = polytope.ambient
     units, lifted, _ = _scaled(polytope)
-    m = len(units)
-    top = min(n, m)
+    top = _tropical_rank(units)
     keys = [[] for _ in range(top + 1)]
-    pending = []
-
-    def certifies(acc, key, dim):
-        if any(_in_closure(key, keys[d]) for d in range(dim + 1, top + 1)):
-            return False
-        return not _has_larger(units, n, acc)
 
     def leaf(acc, colmin):
         _witness(colmin, lifted, acc)
         dim = _mask_dimension(acc, n)
+        if dim > top:
+            raise AssertionError("a covering cell is of higher dimension than the tropical rank")
         key = _key(acc, n)
         keys[dim].append(key)
-        if dim == top:
-            return len(keys[top]) == 1 and any(certifies(*p) for p in pending)
-        if keys[top]:
-            return certifies(acc, key, dim)
-        pending.append((acc, key, dim))
-        return False
+        if dim == top or any(_in_closure(key, keys[d]) for d in range(dim + 1, top + 1)):
+            return False
+        return not _has_larger(units, n, acc)
 
-    if _walk(units, n, leaf, [(1 << n) - 1] * m, True):
+    if _walk(units, n, leaf, [(1 << n) - 1] * len(units), True):
         return False, top
-    return _settle(keys)
+    pure, dim = _settle(keys)
+    if dim != top:
+        raise AssertionError("the covering cells' dimension differs from the tropical rank")
+    return pure, dim
 
 
 def tropical_dimension(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES) -> int:
@@ -614,9 +608,10 @@ def pure_dimension(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES):
     """(pure, dim): dim is the tropical dimension, pure whether every
     covering cell lies inside a covering cell of that dimension.
 
-    Like `tropical_dimension`, served by the verdict walk, which stops as
-    soon as two covering cells prove impurity; the bound applies as for
-    `cell_complex`.
+    Like `tropical_dimension`, served by the verdict walk, which stops at
+    the first covering cell of lower dimension than the tropical rank that
+    lies in the closure of no other covering cell; the bound applies as
+    for `cell_complex`.
     """
     return _verdict(polytope, max_tuples)
 

@@ -211,8 +211,23 @@ def _cmd_analyze(args) -> int:
             "generator_dimension": ranks.col_gen_rank,
             "dual_dimension": ranks.row_gen_rank,
         }
+        # the rank notions coincide for a regular matrix
+        if payload["regular"] and not ranks.all_equal:
+            raise AssertionError("a regular matrix has unequal ranks")
     _emit(args, payload)
     return EXIT_OK
+
+
+def _check_theorem(payload) -> None:
+    """The source paper's theorem on the `polytope` payload, whose fields
+    come by independent routes: projective iff pure with tropical, generator
+    and dual dimension equal, and, at full generator and dual dimension,
+    iff min-plus convex.  A violation is a defect in tropcheck."""
+    projective, gendim, dualdim = payload["projective"], payload["gendim"], payload["dualdim"]
+    if projective != (payload["pure"] and payload["tropical_dim"] == gendim == dualdim):
+        raise AssertionError("projectivity disagrees with pure dimension")
+    if gendim == dualdim == payload["ambient"] and projective != payload["min_plus_convex"]:
+        raise AssertionError("projectivity disagrees with min-plus convexity at full dimension")
 
 
 def _cmd_polytope(args) -> int:
@@ -230,6 +245,7 @@ def _cmd_polytope(args) -> int:
         "reason": report.reason,
         "idempotent": matrix_to_document(report.idempotent) if report.idempotent else None,
     }
+    _check_theorem(payload)
     _emit(args, payload)
     return EXIT_OK
 

@@ -30,13 +30,15 @@ rationals to (denom, int rows), BOTTOM staying BOTTOM; `_common` carries
 frames to the lcm of their denominators; `_fractions` takes ints back.  A
 `Matrix` fills its frame on first use, and products, residuals and the
 checks on them run on it.  `Fraction`s are built only for what the API
-returns: a result's `entries`, once per result.
+returns: a result's `entries`, on first access.  `_tropical_rank` decides
+the tropical rank of int rows, for the cells' verdict walk.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import sub
 
@@ -212,6 +214,41 @@ def _transpose(rows):
     return tuple(zip(*rows))
 
 
+def _tropical_rank(rows) -> int:
+    """The tropical rank of finite int rows: the largest k with a k x k
+    minor whose maximal permutation sum is attained by one permutation
+    alone (a tropically nonsingular minor).
+
+    Top-down from k = min(rows, cols), with the shorter side as rows.  For
+    each k-row subset one pass over column masks carries, for every mask
+    of i columns, the best sum assigning the subset's first i rows to them
+    and how many assignments reach it, capped at 2.  A k-column mask
+    reached once is a nonsingular minor, and the first one ends the search.
+    """
+    if len(rows) > len(rows[0]):
+        rows = _transpose(rows)
+    for k in range(len(rows), 0, -1):
+        for subset in combinations(rows, k):
+            level = {0: (0, 1)}
+            for row in subset:
+                nxt = {}
+                for mask, (best, count) in level.items():
+                    for j, e in enumerate(row):
+                        if mask >> j & 1:
+                            continue
+                        key = mask | 1 << j
+                        total = best + e
+                        old = nxt.get(key)
+                        if old is None or total > old[0]:
+                            nxt[key] = (total, count)
+                        elif total == old[0] and old[1] == 1:
+                            nxt[key] = (total, 2)
+                level = nxt
+            if any(count == 1 for _, count in level.values()):
+                return k
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # integer frames
 
@@ -269,7 +306,7 @@ class Matrix:
     drop out of the maximum and an all-BOTTOM term row yields BOTTOM.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_frame")
+    __slots__ = ("rows", "cols", "_entries", "_frame")
 
     def __init__(self, rows):
         data = tuple(tuple(as_entry(e) for e in row) for row in rows)
@@ -280,7 +317,7 @@ class Matrix:
             raise DimensionMismatch("all rows must have the same length")
         self.rows = len(data)
         self.cols = width
-        self.entries = data
+        self._entries = data
         self._frame = None
 
     @classmethod
@@ -289,17 +326,28 @@ class Matrix:
         m = object.__new__(cls)
         m.rows = len(data)
         m.cols = len(data[0])
-        m.entries = data
+        m._entries = data
         m._frame = None
         return m
 
     @classmethod
     def _from_ints(cls, denom, rows) -> "Matrix":
         # internal: the matrix of a frame computed by the kernels, which
-        # keeps that frame; denom is a common denominator, not always the lcm
-        m = cls._raw(_fractions(rows, denom))
+        # keeps that frame; denom is a common denominator, not always the
+        # lcm, and the entries are built on first access
+        m = object.__new__(cls)
+        m.rows = len(rows)
+        m.cols = len(rows[0])
+        m._entries = None
         m._frame = (denom, rows)
         return m
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as rows of `Fraction`s and BOTTOM, built on first use."""
+        if self._entries is None:
+            self._entries = _fractions(self._frame[1], self._frame[0])
+        return self._entries
 
     def _ints(self):
         """The integer frame (denom, rows), filled on first use."""
@@ -324,7 +372,9 @@ class Matrix:
 
     @property
     def is_finite(self) -> bool:
-        return all(e is not BOTTOM for row in self.entries for e in row)
+        # read whichever form is built; BOTTOM is BOTTOM in both
+        rows = self._entries if self._entries is not None else self._frame[1]
+        return all(e is not BOTTOM for row in rows for e in row)
 
     def row(self, i: int):
         return self.entries[i]

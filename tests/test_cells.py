@@ -468,6 +468,42 @@ def _purity_oracle(faces):
     return all(any(covector_leq(t, f.covector) for t in top_cells) for f in covering), top
 
 
+# The verdict walk before it read its top dimension from the tropical rank,
+# kept as a reference: the top is min(n, m), lower leaves wait in `pending`
+# until a leaf of that dimension appears, and that first top leaf re-checks
+# them.
+
+
+def _ref_walk_verdict(polytope):
+    n = polytope.ambient
+    units, lifted, _ = _scaled(polytope)
+    m = len(units)
+    top = min(n, m)
+    keys = [[] for _ in range(top + 1)]
+    pending = []
+
+    def certifies(acc, key, dim):
+        if any(cells._in_closure(key, keys[d]) for d in range(dim + 1, top + 1)):
+            return False
+        return not _has_larger(units, n, acc)
+
+    def leaf(acc, colmin):
+        cells._witness(colmin, lifted, acc)
+        dim = cells._mask_dimension(acc, n)
+        key = cells._key(acc, n)
+        keys[dim].append(key)
+        if dim == top:
+            return len(keys[top]) == 1 and any(certifies(*p) for p in pending)
+        if keys[top]:
+            return certifies(acc, key, dim)
+        pending.append((acc, key, dim))
+        return False
+
+    if cells._walk(units, n, leaf, [(1 << n) - 1] * m, True):
+        return False, top
+    return cells._settle(keys)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
@@ -488,6 +524,7 @@ def test_covering_walk_matches_the_full_complex(p):
     full = cell_complex(p, 10**30)
     assert (full.pure, full.tropical_dim) == _purity_oracle(full.faces)
     assert verdict == (full.pure, full.tropical_dim)
+    assert verdict == _ref_walk_verdict(Polytope(p.generators))
     assert tropical_dimension(twin, 10**30) == full.tropical_dim
 
 
@@ -574,10 +611,38 @@ def _mixed_magnitude_generators():
 
 
 def test_covering_route_fails_exactly_where_the_full_complex_does():
-    # at any magnitude the verdict walk and the full complex both answer,
-    # and agree; a raise on either route fails the test
+    # at any magnitude the verdict walk, its two-phase reference and the
+    # full complex all answer, and agree; a raise on any route fails the test
     for gens in _mixed_magnitude_generators():
-        assert pure_dimension(Polytope(gens)) == _full_route(Polytope(gens))
+        verdict = pure_dimension(Polytope(gens))
+        assert verdict == _full_route(Polytope(gens)) == _ref_walk_verdict(Polytope(gens))
+
+
+# -- the cross-checks against the tropical rank
+
+
+def test_a_rank_one_short_fails_the_cross_check(monkeypatch):
+    # on pure polytopes every lower cell lies in the closure of a top cell,
+    # so no certificate stops the walk before it meets a leaf above the rank
+    real = cells._tropical_rank
+    monkeypatch.setattr(cells, "_tropical_rank", lambda rows: real(rows) - 1)
+    rng = random.Random(16)
+    for n in (2, 3, 4):
+        p = column_space(random_idempotent(n, rng=rng, full_rank=True, spread=3))
+        assert cell_complex(p).pure
+        with pytest.raises(AssertionError, match="higher dimension than the tropical rank"):
+            pure_dimension(Polytope(p.generators))
+
+
+def test_a_finished_walk_below_the_rank_fails_the_cross_check(monkeypatch):
+    # with the rank one too high and every lower leaf held inside a larger
+    # cell, the walk finishes and settles on a dimension below the rank
+    real = cells._tropical_rank
+    monkeypatch.setattr(cells, "_tropical_rank", lambda rows: real(rows) + 1)
+    monkeypatch.setattr(cells, "_has_larger", lambda units, n, masks: True)
+    p = random_polytope(4, 4, seed=5)
+    with pytest.raises(AssertionError, match="differs from the tropical rank"):
+        pure_dimension(p)
 
 
 # -- the walk against the fixed-order reference
@@ -710,7 +775,9 @@ def test_verdict_walk_makes_fewer_stars_than_the_reference(monkeypatch):
     # polytopes: the walk's star steps against the reference's insertions.
     # The counts are deterministic, and the ceilings are this walk's own,
     # so a change that re-inflates it fails here: index order takes 2665
-    # stars, and entering the children the dead masks drop, 1627 closures
+    # stars, and entering the children the dead masks drop, 1627 closures;
+    # waiting for a leaf of dimension min(n, m) instead of reading the top
+    # from the tropical rank, 2466 stars and 586 closures
     calls = {"_star": 0, "_close": 0}
 
     def counted(name):
@@ -735,8 +802,8 @@ def test_verdict_walk_makes_fewer_stars_than_the_reference(monkeypatch):
     reference, insertions, _ = run(_ref_walk)
     assert verdicts == reference
     assert stars < insertions
-    assert stars <= 2466
-    assert closures <= 586
+    assert stars <= 1577
+    assert closures <= 422
 
 
 # -- invariance under translation, positive integer scaling and permutation

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcheck import BOTTOM, Matrix, cell_complex, column_space, is_projective, row_space
+from tropcheck import cells as cells_module
+from tropcheck import cli as cli_module
 from tropcheck.cli import SUITE_NAMES, main
 from tropcheck.documents import (
     MalformedDocument,
@@ -561,6 +563,49 @@ def test_internal_check_failure_exits_five(tmp_path, capsys, monkeypatch):
         assert captured.out == ""
         assert captured.err.startswith("tropcheck: internal check failed: cell witness failed")
         assert "input document" in captured.err
+
+
+def _assert_internal_failure(capsys, argv, message):
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"tropcheck: internal check failed: {message}")
+    assert "input document" in captured.err
+
+
+def test_theorem_violations_exit_five(tmp_path, capsys, monkeypatch):
+    # a projective plane polytope at full dimension: one route made to
+    # contradict the others trips the theorem check before any output
+    doc = write_doc(tmp_path, "p.json", {"ambient": 2, "generators": [[0, -1], [-2, 0]]})
+    with monkeypatch.context() as patch:
+        patch.setattr("tropcheck.cli.pure_dimension", lambda p, bound: (False, 2))
+        _assert_internal_failure(capsys, ["polytope", "--input", doc], "projectivity disagrees with pure")
+    with monkeypatch.context() as patch:
+        patch.setattr("tropcheck.cli.pure_dimension", lambda p, bound: (True, 1))
+        _assert_internal_failure(capsys, ["polytope", "--input", doc], "projectivity disagrees with pure")
+    with monkeypatch.context() as patch:
+        patch.setattr("tropcheck.polytopes.Polytope.is_min_plus_convex", lambda p: False)
+        _assert_internal_failure(capsys, ["polytope", "--input", doc], "projectivity disagrees with min-plus")
+    assert main(["polytope", "--input", doc]) == 0
+    assert capsys.readouterr().out == POLYTOPE_TEXT
+
+
+def test_regular_matrix_with_unequal_ranks_exits_five(tmp_path, golden_doc, capsys, monkeypatch):
+    real = cli_module.rank_report
+
+    def skewed(a, max_tuples):
+        return real(a, max_tuples)._replace(all_equal=False)
+
+    monkeypatch.setattr("tropcheck.cli.rank_report", skewed)
+    _assert_internal_failure(capsys, ["analyze", "--input", golden_doc], "a regular matrix has unequal ranks")
+
+
+def test_a_rank_one_short_exits_five(tmp_path, capsys, monkeypatch):
+    # the pure plane polytope meets a leaf of dimension 2 above a rank of 1
+    real = cells_module._tropical_rank
+    monkeypatch.setattr(cells_module, "_tropical_rank", lambda rows: real(rows) - 1)
+    doc = write_doc(tmp_path, "p.json", {"ambient": 2, "generators": [[0, -1], [-2, 0]]})
+    _assert_internal_failure(capsys, ["polytope", "--input", doc], "a covering cell is of higher dimension")
 
 
 def test_module_entry_point(tmp_path, golden_doc):

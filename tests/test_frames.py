@@ -34,7 +34,7 @@ from tropcheck import (
 )
 from tropcheck.oracles import minplus_sampling_refuter, random_idempotent, random_point
 from tropcheck.polytopes import _member
-from tropcheck.semiring import _combine, _frame_of, _principal
+from tropcheck.semiring import _combine, _fractions, _frame_of, _principal
 
 # -- the replaced Fraction routes
 
@@ -236,6 +236,40 @@ def test_products_and_residuals_match_the_fraction_route(data):
     square = data.draw(_matrices(_rationals, a.cols, a.cols))
     assert typed(right_residual(a, square).entries) == typed(ref_right_residual(a.entries, square.entries))
     assert typed(double_residual(square).entries) == typed(ref_double_residual(square.entries))
+
+
+def _assert_lazy(m):
+    # a kernel result holds its frame alone until `entries` is read: finite,
+    # equal and hashed alike before and after, and built as `_fractions`
+    assert m._entries is None
+    denom, rows = m._ints()
+    finite = m.is_finite
+    assert m._entries is None
+    twin = Matrix(_fractions(rows, denom))
+    assert m == twin and hash(m) == hash(twin)
+    assert m.entries == _fractions(rows, denom)
+    assert typed(m.entries) == typed(twin.entries)
+    assert m.is_finite == finite == twin.is_finite
+    assert m.entries is m.entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_results_build_their_entries_on_first_access(data):
+    a = data.draw(_matrices(_matrix_entries))
+    b = data.draw(_matrices(_matrix_entries, rows=a.cols))
+    finite = data.draw(_matrices(_rationals, rows=a.rows))
+    square = data.draw(_matrices(_rationals, a.cols, a.cols))
+    p = data.draw(_polytopes())
+    for m in (
+        a.mul(b),
+        left_residual(finite, a),
+        right_residual(a, square),
+        double_residual(square),
+        p.generator_matrix(),
+        infimum_matrix(p),
+    ):
+        _assert_lazy(m)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropcheck import (
@@ -23,7 +23,8 @@ from tropcheck import (
     vec_min,
     vec_scale,
 )
-from tropcheck.semiring import _combine, _principal, _product, tadd, tmul
+from tropcheck.oracles import random_point, random_polytope, tropical_rank_oracle
+from tropcheck.semiring import _combine, _frame_of, _principal, _product, _tropical_rank, tadd, tmul
 
 finite = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 entries = st.one_of(st.just(BOTTOM), finite)
@@ -363,3 +364,38 @@ def test_one_generator_and_one_coordinate():
     assert _combine((2,), ((BOTTOM,),)) == (BOTTOM,)
     assert _principal((BOTTOM,), ((4,),)) == ref_principal((BOTTOM,), ((4,),)) == (BOTTOM,)
     assert _principal((3, 1), ((0, 0),)) == (1,)
+
+
+# -- the tropical rank against the permutation oracle
+
+
+@st.composite
+def _rank_rows(draw):
+    """Tie-heavy int rows up to 5x5, one row or one column drawn often, or
+    points of a polytope with fewer generators than rows, whose rank is low."""
+    rows = draw(st.sampled_from((1, 1, 2, 3, 4, 5)))
+    cols = draw(st.sampled_from((1, 1, 2, 3, 4, 5)))
+    if draw(st.booleans()):
+        return tuple(tuple(draw(st.integers(-2, 2)) for _ in range(cols)) for _ in range(rows))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    hull = random_polytope(cols, draw(st.integers(1, 3)), rng=rng, lo=-3, hi=3, max_den=2)
+    return _frame_of([random_point(hull, rng=rng, lo=-2, hi=2) for _ in range(rows)])[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rank_rows())
+def test_tropical_rank_matches_the_permutation_oracle(rows):
+    rank = _tropical_rank(rows)
+    assert rank == tropical_rank_oracle(Matrix(rows))
+    assert rank == _tropical_rank(tuple(zip(*rows)))
+
+
+def test_tropical_rank_examples():
+    assert _tropical_rank(((0, 0), (0, 0))) == 1
+    assert _tropical_rank(((0, 0), (0, 1))) == 2
+    assert _tropical_rank(((7,),)) == 1
+    assert _tropical_rank(((0, -1, -2, -3),)) == 1
+    # two generators in high ambient dimension: one pass over small masks
+    assert _tropical_rank(((0,) * 22, (0,) * 21 + (-1,))) == 2
+    # the all-equal 6x6 minor and all its 2x2 minors are singular
+    assert _tropical_rank(((3,) * 6,) * 6) == 1
