@@ -216,9 +216,10 @@ def greens_h(a: Matrix, b: Matrix) -> bool:
 def rank_report(a: Matrix, max_tuples: int = DEFAULT_MAX_TUPLES) -> RankReport:
     """Row and column generator ranks plus the tropical rank.
 
-    The tropical rank is the tropical dimension of the row space, read off
-    the verdict walk; it never exceeds the generator ranks, and all three
-    agree for regular matrices.
+    The tropical rank is the tropical dimension of the row space, the rank
+    of its extremal frame (`tropical_dimension`), with no cell walk; it
+    never exceeds the generator ranks, and all three agree for regular
+    matrices.
     """
     rows = row_space(a)
     cols = column_space(a)

@@ -52,25 +52,26 @@ coordinate.  The witness re-check, the faces, `argmin_profile`,
 are built only for returned values.
 
 One depth-first walk, `_walk`, serves the full complex, the verdict and
-its sub-searches.  Tropical dimension and purity ask only for the verdict
-(pure, dim), and the walk pruned to covering cells settles it, often
-early.  Its nodes carry the dead mask of each generator still to place: u
-turns dead for v when into[u] + v_u + min_q(out[q] - v_q) < 0, O(n) per
-generator (`_carry`).  Dead stays dead, as closure entries only fall, so a
-child leaving a coordinate uncovered and dead for every generator still to
-place is dropped before its closure, or its star step if the parent's
-masks show it.  It branches next on the generator with the fewest live
-coordinates in its room, the lowest index on a tie (fail-first,
-Haralick-Elliott); masks stay indexed by generator, so leaves and
-witnesses do not depend on it.  The full complex keeps index order.
-Profiles ordered by inclusion, mask by mask, give the face order
-(Develin-Sturmfels): a profile inside another is the type of a cell whose
-closure holds the other's.  The tropical dimension is known before the
-walk, as the tropical rank of the generator matrix
-(Develin-Santos-Sturmfels), so the first covering leaf below it with no
-covering profile strictly inside its own proves the polytope impure and
-stops the walk.  Leaves are packed as keys sum(mask_i << n*i), on which
-"t inside f" reads t & ~f == 0; every leaf's witness is still decoded and
+its sub-searches.  Purity asks only for the verdict (pure, dim), and the
+walk pruned to covering cells settles it, often early.  Its nodes carry
+the dead mask of each generator still to place: u turns dead for v when
+into[u] + v_u + min_q(out[q] - v_q) < 0, O(n) per generator (`_carry`).
+Dead stays dead, as closure entries only fall, so a child leaving a
+coordinate uncovered and dead for every generator still to place is
+dropped before its closure, or its star step if the parent's masks show
+it.  It branches next on the generator with the fewest live coordinates
+in its room, the lowest index on a tie (fail-first, Haralick-Elliott);
+masks stay indexed by generator, so leaves and witnesses do not depend on
+it.  The full complex keeps index order.  Profiles ordered by inclusion,
+mask by mask, give the face order (Develin-Sturmfels): a profile inside
+another is the type of a cell whose closure holds the other's.  The
+tropical dimension is the tropical rank of the generator matrix
+(Develin-Santos-Sturmfels), so `tropical_dimension` reads it off
+`_tropical_rank` and never walks.  The walk for purity takes that rank as
+its top dimension, so the first covering leaf below it with no covering
+profile strictly inside its own proves the polytope impure and stops the
+walk.  Leaves are packed as keys sum(mask_i << n*i), on which "t inside
+f" reads t & ~f == 0; every leaf's witness is still decoded and
 re-checked.  The full complex records the keys of its covering faces too,
 and both settle (pure, dim) on them in one place, `_settle`.
 """
@@ -405,20 +406,6 @@ def cell_complex(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES) -> Ce
     return polytope._complex
 
 
-def _verdict(polytope: Polytope, max_tuples: int):
-    """(pure, tropical_dim) of the complex, memoised on the polytope.
-
-    The bound is checked on every call.  The verdict is read off the
-    complex when that is memoised already, and otherwise comes from the
-    verdict walk over covering cells.
-    """
-    _check_scale(polytope, max_tuples)
-    if polytope._covering is None:
-        full = polytope._complex
-        polytope._covering = _walk_verdict(polytope) if full is None else (full.pure, full.tropical_dim)
-    return polytope._covering
-
-
 def _mask_dimension(masks, n):
     """covector_dimension on argmin bitmasks: coordinates p and q share a
     generator exactly when some mask holds both, so the components are the
@@ -598,22 +585,28 @@ def tropical_dimension(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES)
     """Topological (affine) dimension of the polytope: the largest
     dimension of a covering cell.
 
-    Served by the verdict walk over covering cells, without enumerating
-    the rest of the complex; see `_verdict`.
+    That is the tropical rank of the extremal generator matrix
+    (Develin-Santos-Sturmfels), read off `_tropical_rank` on the integer
+    frame of the extremal generators, with no walk; the bound applies as
+    for `cell_complex`.
     """
-    return _verdict(polytope, max_tuples)[1]
+    _check_scale(polytope, max_tuples)
+    return _tropical_rank(polytope.extremals()._ints()[1])
 
 
 def pure_dimension(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES):
     """(pure, dim): dim is the tropical dimension, pure whether every
     covering cell lies inside a covering cell of that dimension.
 
-    Like `tropical_dimension`, served by the verdict walk, which stops at
-    the first covering cell of lower dimension than the tropical rank that
-    lies in the closure of no other covering cell; the bound applies as
-    for `cell_complex`.
+    Served by the verdict walk over covering cells, which stops at the
+    first covering cell of lower dimension than the tropical rank that
+    lies in the closure of no other covering cell, and is memoised on the
+    polytope; the bound applies as for `cell_complex`, on every call.
     """
-    return _verdict(polytope, max_tuples)
+    _check_scale(polytope, max_tuples)
+    if polytope._covering is None:
+        polytope._covering = _walk_verdict(polytope)
+    return polytope._covering
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,9 @@ def tropical_rank_oracle(a: Matrix) -> int:
     """Largest r with an r x r submatrix whose optimal permutation is unique.
 
     The optimum is the maximal tropical permutation sum; uniqueness is
-    decided by enumerating all permutations, so this is independent of the
-    cell-complex computation it cross-checks.
+    decided by enumerating all permutations, so this is independent of
+    both routes it cross-checks: the top-down rank routine behind
+    `rank_report` and the dimension of the cell complex.
     """
     if not a.is_finite:
         raise NonFiniteEntries("the rank oracle works on finite matrices")
@@ -279,12 +280,14 @@ def suite_projectivity_order(rng, count, n, refute_samples=200):
 @_suite("rank-equality")
 def suite_rank_equality(rng, count, n):
     """On regular matrices all three ranks agree, and the tropical rank
-    matches the permutation-uniqueness oracle."""
+    matches the permutation-uniqueness oracle and the dimension of the row
+    space's cell complex."""
     for a in regular_corpus(rng, count, max_n=n):
         report = rank_report(a)
         oracle = tropical_rank_oracle(a)
-        if not report.all_equal or report.tropical_rank != oracle:
-            yield {"matrix": _mat_doc(a), "report": report._asdict(), "oracle": oracle}
+        geometric = cell_complex(row_space(a)).tropical_dim
+        if not report.all_equal or not report.tropical_rank == oracle == geometric:
+            yield {"matrix": _mat_doc(a), "report": report._asdict(), "oracle": oracle, "cells": geometric}
 
 
 @_suite("idempotent-column-space")
@@ -371,14 +374,16 @@ def suite_top_cell(rng, count, n):
 
 @_suite("rank-oracle")
 def suite_rank_oracle(rng, count, n, m):
-    """On arbitrary matrices the verdict-walk tropical rank agrees with the
-    permutation-uniqueness oracle."""
+    """On arbitrary matrices the tropical rank of `rank_report` agrees with
+    the permutation-uniqueness oracle and with the dimension of the row
+    space's cell complex."""
     for _ in range(count):
         a = random_matrix(rng.randint(1, n), rng.randint(1, m), rng=rng)
         computed = rank_report(a).tropical_rank
         oracle = tropical_rank_oracle(a)
-        if computed != oracle:
-            yield {"matrix": _mat_doc(a), "computed": computed, "oracle": oracle}
+        geometric = cell_complex(row_space(a)).tropical_dim
+        if not computed == oracle == geometric:
+            yield {"matrix": _mat_doc(a), "computed": computed, "oracle": oracle, "cells": geometric}
 
 
 def run_suite(name: str, *, seed=0, count=200, n=4, m=4) -> dict:

@@ -95,7 +95,7 @@ class Polytope:
         self._extremals = None
         self._row_space = None
         self._complex = None  # owned by cells.cell_complex
-        self._covering = None  # owned by cells._verdict
+        self._covering = None  # owned by cells.pure_dimension
 
     @property
     def generators(self) -> tuple:

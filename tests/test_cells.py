@@ -19,6 +19,7 @@ from tropcheck import (
     descend_to_singletons,
     is_projective,
     pure_dimension,
+    rank_report,
     regularity_witness,
     row_space,
     tropical_dimension,
@@ -580,12 +581,43 @@ def test_covering_summary_is_memoised_and_guard_still_applies(monkeypatch):
             route(p, max_tuples=10)
     assert tropical_dimension(p) == full.tropical_dim
     assert p._covering is first
-    # with the full complex memoised first, the verdict is read off it
+    # with the full complex memoised first, purity still comes from the walk
     q = random_polytope(3, 3, seed=22)
     cell_complex(q)
-    monkeypatch.setattr(cells, "_walk_verdict", None)
-    assert tropical_dimension(q) == full.tropical_dim
-    assert q._covering == (full.pure, full.tropical_dim)
+    walked = []
+    real = cells._walk_verdict
+    monkeypatch.setattr(cells, "_walk_verdict", lambda poly: walked.append(poly) or real(poly))
+    assert pure_dimension(q) == (full.pure, full.tropical_dim)
+    assert walked == [q]
+
+
+def test_the_rank_route_answers_without_the_walk(monkeypatch):
+    # tropical_dimension and rank_report read the tropical rank off the
+    # extremal frame: with the walk disabled they still answer, agree with
+    # the full complex built beforehand on equal inputs, and keep the guard
+    rng = random.Random(17)
+    shapes = [(3, 3), (4, 4), (4, 5), (5, 3)]
+    polytopes = [random_polytope(n, m, seed=s) for s, (n, m) in enumerate(shapes)]
+    polytopes.append(column_space(random_idempotent(4, rng=rng, full_rank=True, spread=3)))
+    matrices = [random_matrix(4, rng.randint(4, 5), rng=rng) for _ in range(4)]
+    dims = [cell_complex(Polytope(p.generators)).tropical_dim for p in polytopes]
+    ranks = [cell_complex(row_space(a)).tropical_dim for a in matrices]
+
+    def no_walk(*args):
+        raise AssertionError("the walk was called")
+
+    monkeypatch.setattr(cells, "_walk", no_walk)
+    for p, dim in zip(polytopes, dims):
+        assert tropical_dimension(p) == dim
+        with pytest.raises(ScaleLimitExceeded):
+            tropical_dimension(p, max_tuples=10)
+    for a, rank in zip(matrices, ranks):
+        assert rank_report(a).tropical_rank == rank
+        with pytest.raises(ScaleLimitExceeded):
+            rank_report(a, max_tuples=10)
+    # the patch reaches the walk: purity still needs it
+    with pytest.raises(AssertionError, match="the walk was called"):
+        pure_dimension(polytopes[0])
 
 
 def _full_route(p):
@@ -900,6 +932,9 @@ def _frame_verdicts(p, points, a):
         p.is_min_plus_convex(),
         is_projective(p).projective,
         regularity_witness(a).regular,
+        tropical_dimension(p),
+        pure_dimension(p),
+        rank_report(a),
     )
 
 

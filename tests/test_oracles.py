@@ -7,6 +7,7 @@ from tropcheck import (
     Matrix,
     Polytope,
     ScaleLimitExceeded,
+    cell_complex,
     column_space,
     is_idempotent,
     rank_report,
@@ -95,7 +96,8 @@ def test_rank_oracle_agrees_with_cells():
     rng = random.Random(51)
     for _ in range(60):
         a = random_matrix(rng.randint(1, 4), rng.randint(1, 4), rng=rng)
-        assert tropical_rank_oracle(a) == tropical_dimension(row_space(a))
+        cells = cell_complex(row_space(a)).tropical_dim
+        assert tropical_rank_oracle(a) == tropical_dimension(row_space(a)) == cells
 
 
 def test_refuter_on_known_spaces(golden_idempotent, spike_polytope):
