@@ -67,13 +67,19 @@ mask by mask, give the face order (Develin-Sturmfels): a profile inside
 another is the type of a cell whose closure holds the other's.  The
 tropical dimension is the tropical rank of the generator matrix
 (Develin-Santos-Sturmfels), so `tropical_dimension` reads it off
-`_tropical_rank` and never walks.  The walk for purity takes that rank as
-its top dimension, so the first covering leaf below it with no covering
-profile strictly inside its own proves the polytope impure and stops the
-walk.  Leaves are packed as keys sum(mask_i << n*i), on which "t inside
-f" reads t & ~f == 0; every leaf's witness is still decoded and
-re-checked.  The full complex records the keys of its covering faces too,
-and both settle (pure, dim) on them in one place, `_settle`.
+`_tropical_rank`, memoised on the polytope, and never walks.  The walk for
+purity takes that rank as its top dimension, so the first covering leaf
+below it with no covering profile strictly inside its own proves the
+polytope impure and stops the walk.  A room pass looks for that leaf
+first, one generator at a time, among the profiles inside the generator's
+own argmin profile: the covering cells whose closure holds it.  A pure
+polytope's generator lies in the closure of a top cell, whose profile
+lies inside the generator's own mask by mask, so a room with no top leaf
+proves impurity through its least leaf; a room that has one stops there.
+Leaves are packed as keys sum(mask_i << n*i), on which "t inside f" reads
+t & ~f == 0; every leaf's witness is still decoded and re-checked.  The
+full complex records the keys of its covering faces too, and both settle
+(pure, dim) on them in one place, `_settle`.
 """
 
 from __future__ import annotations
@@ -546,27 +552,64 @@ def _has_larger(units, n, masks) -> bool:
     return _walk(units, n, lambda sub, _colmin: sub != masks, masks, True)
 
 
+def _rank(polytope: Polytope) -> int:
+    """The tropical rank of the extremal frame, memoised on the polytope.
+    The walk's generators are that frame times _UNIT, which leaves the
+    rank unchanged, so the walk and `tropical_dimension` share it."""
+    if polytope._rank is None:
+        polytope._rank = _tropical_rank(polytope.extremals()._ints()[1])
+    return polytope._rank
+
+
 def _walk_verdict(polytope: Polytope):
     """(pure, tropical_dim) from the covering leaves of the pruned walk,
     which stops at the first impurity certificate (module docstring).
 
-    The top dimension is the tropical rank of the generators.  Leaves are
-    kept as packed profile keys, one list per dimension, and each lower
-    leaf certifies impurity unless a recorded larger cell's closure holds
-    it or `_has_larger` finds a covering cell that does.  A leaf above the
-    rank, or a finished walk whose dimension is not the rank, fails the
-    cross-check with an AssertionError.
+    The top dimension is the tropical rank of the generators.  A room pass
+    runs first: for each extremal generator g, in index order, a walk over
+    the profiles inside g's own argmin profile, which are the covering
+    cells whose closure holds g, stops at its first leaf of the top
+    dimension.  In a pure polytope g lies in the closure of a top cell,
+    whose profile lies inside g's own mask by mask, so that walk finds it.
+    A room with no top leaf certifies impurity through its leaf with the
+    fewest argmin coordinates, when `_has_larger` finds no covering cell
+    whose closure holds it: any such cell's profile lies in the same room.
+
+    Otherwise the full walk runs.  Its leaves are kept as packed profile
+    keys, one list per dimension, and each lower leaf certifies impurity
+    unless a recorded larger cell's closure holds it or `_has_larger`
+    finds a covering cell that does.  Every leaf's witness is decoded and
+    re-checked; a leaf above the rank, or a finished walk whose dimension
+    is not the rank, fails the cross-check with an AssertionError.
     """
     n = polytope.ambient
     units, lifted, _ = _scaled(polytope)
-    top = _tropical_rank(units)
+    top = _rank(polytope)
     keys = [[] for _ in range(top + 1)]
+    lower = []
 
-    def leaf(acc, colmin):
+    def visit(acc, colmin):
         _witness(colmin, lifted, acc)
         dim = _mask_dimension(acc, n)
         if dim > top:
             raise AssertionError("a covering cell is of higher dimension than the tropical rank")
+        return dim
+
+    def room_leaf(acc, colmin):
+        if visit(acc, colmin) == top:
+            return True
+        lower.append(acc)
+        return False
+
+    for g in units:
+        lower.clear()
+        if not _walk(units, n, room_leaf, list(_argmin_masks(g, units)), True):
+            least = min(lower, key=lambda acc: sum(a.bit_count() for a in acc))
+            if not _has_larger(units, n, least):
+                return False, top
+
+    def leaf(acc, colmin):
+        dim = visit(acc, colmin)
         key = _key(acc, n)
         keys[dim].append(key)
         if dim == top or any(_in_closure(key, keys[d]) for d in range(dim + 1, top + 1)):
@@ -587,21 +630,22 @@ def tropical_dimension(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES)
 
     That is the tropical rank of the extremal generator matrix
     (Develin-Santos-Sturmfels), read off `_tropical_rank` on the integer
-    frame of the extremal generators, with no walk; the bound applies as
-    for `cell_complex`.
+    frame of the extremal generators, with no walk, and memoised on the
+    polytope beside the verdict; the bound applies as for `cell_complex`.
     """
     _check_scale(polytope, max_tuples)
-    return _tropical_rank(polytope.extremals()._ints()[1])
+    return _rank(polytope)
 
 
 def pure_dimension(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES):
     """(pure, dim): dim is the tropical dimension, pure whether every
     covering cell lies inside a covering cell of that dimension.
 
-    Served by the verdict walk over covering cells, which stops at the
-    first covering cell of lower dimension than the tropical rank that
-    lies in the closure of no other covering cell, and is memoised on the
-    polytope; the bound applies as for `cell_complex`, on every call.
+    Served by the verdict walk over covering cells, each generator's room
+    first, which stops at the first covering cell of lower dimension than
+    the tropical rank that lies in the closure of no other covering cell,
+    and is memoised on the polytope; the bound applies as for
+    `cell_complex`, on every call.
     """
     _check_scale(polytope, max_tuples)
     if polytope._covering is None:

@@ -60,7 +60,7 @@ class Polytope:
     # Derived objects are memoised on the instance.  Each is a pure function
     # of the frame, so a concurrent first computation writes an equal value
     # and sharing a polytope across threads stays safe.
-    __slots__ = ("ambient", "_frame", "_generators", "_extremals", "_row_space", "_complex", "_covering")
+    __slots__ = ("ambient", "_frame", "_generators", "_extremals", "_row_space", "_complex", "_covering", "_rank")
 
     def __init__(self, points):
         pts = [as_vector(p, finite=True) for p in points]
@@ -96,6 +96,7 @@ class Polytope:
         self._row_space = None
         self._complex = None  # owned by cells.cell_complex
         self._covering = None  # owned by cells.pure_dimension
+        self._rank = None  # owned by cells._rank
 
     @property
     def generators(self) -> tuple:
