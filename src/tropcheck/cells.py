@@ -76,10 +76,15 @@ own argmin profile: the covering cells whose closure holds it.  A pure
 polytope's generator lies in the closure of a top cell, whose profile
 lies inside the generator's own mask by mask, so a room with no top leaf
 proves impurity through its least leaf; a room that has one stops there.
-Leaves are packed as keys sum(mask_i << n*i), on which "t inside f" reads
-t & ~f == 0; every leaf's witness is still decoded and re-checked.  The
-full complex records the keys of its covering faces too, and both settle
-(pure, dim) on them in one place, `_settle`.
+When every room has its top leaf, a polytope that is min-plus convex, or
+whose minimal embedding is, is a polytrope (Joswig-Kulas): classically
+convex, hence pure, with its dimension read off the generators, which
+must equal the rank.  Only the pure polytopes no such certificate
+answers take the full walk.  Leaves are packed as keys
+sum(mask_i << n*i), on which "t inside f" reads t & ~f == 0; every
+leaf's witness is still decoded and re-checked.  The full complex records
+the keys of its covering faces too, and both settle (pure, dim) on them
+in one place, `_settle`.
 """
 
 from __future__ import annotations
@@ -561,6 +566,28 @@ def _rank(polytope: Polytope) -> int:
     return polytope._rank
 
 
+def _alcove_dimension(polytope: Polytope) -> int:
+    """The dimension of the alcoved polytope Q = {x : x_j - x_i <= c_ij},
+    with c_ij the largest g_j - g_i over the extremal generators g: the
+    number of classes of i ~ j iff c_ij + c_ji = 0.  As c_ik <= c_ij + c_jk,
+    x_j - x_i is fixed on Q exactly when i ~ j, so Q has one free
+    coordinate per class.  c_ij + c_ji is the largest g_j - g_i less the
+    least, zero exactly when coordinates i and j differ by a constant over
+    the generators, so the classes are the distinct coordinate columns,
+    each taken relative to its first entry."""
+    rows = polytope.extremals()._ints()[1]
+    return len({tuple([g[i] - rows[0][i] for g in rows]) for i in range(polytope.ambient)})
+
+
+def _polytrope(polytope: Polytope):
+    """The polytope, or else the image of its minimal embedding, when that
+    one is min-plus convex (a polytrope); None when neither is."""
+    if polytope.is_min_plus_convex():
+        return polytope
+    image = polytope.embed_minimal().embedded
+    return image if image.is_min_plus_convex() else None
+
+
 def _walk_verdict(polytope: Polytope):
     """(pure, tropical_dim) from the covering leaves of the pruned walk,
     which stops at the first impurity certificate (module docstring).
@@ -574,6 +601,32 @@ def _walk_verdict(polytope: Polytope):
     A room with no top leaf certifies impurity through its leaf with the
     fewest argmin coordinates, when `_has_larger` finds no covering cell
     whose closure holds it: any such cell's profile lies in the same room.
+
+    When every room has a top leaf, a polytrope certificate comes next.  A
+    max-plus polytope P that is also min-plus closed is the alcoved
+    polytope Q = {x : x_j - x_i <= c_ij}, c_ij the largest g_j - g_i over
+    the extremal generators g:
+      - P lies in Q: at a max-plus combination x, the generator attaining
+        x_j bounds x_j - x_i by its own g_j - g_i.
+      - Q lies in P: for x in Q and each pair (i, k) take a point of P
+        attaining c_ki, translated so that its coordinate i is x_i; its
+        coordinate k is then at most x_k.  The minimum over k of these
+        points lies in P (min-plus closed), equals x_i at i and lies below
+        x, so x, the maximum of these minima over i, lies in P.
+    Q is classically convex (a polytrope, Joswig-Kulas), and a cell
+    decomposition of a convex set is pure: a maximal cell of lower
+    dimension would hold a neighbourhood in P of its relative interior
+    points.  Its dimension is `_alcove_dimension`.  The minimal embedding
+    keeps one coordinate per extremal row of the generator matrix; every
+    dropped row is a max-plus combination of kept ones, so on P each
+    dropped coordinate is x_p = max_q(a_q + x_q) over kept q, and the
+    restriction is a piecewise-linear homeomorphism of P onto its image.
+    Local dimension, hence purity and dimension, is invariant under it,
+    and projection commutes with min, so the image's test subsumes P's
+    own; P's is asked first only because it is memoised for the caller.
+    Either certificate answers (True, top), once the class count of the
+    polytope that passed equals the rank: with the rooms' top leaves that
+    checks the rank from both sides.  Impure polytopes never reach it.
 
     Otherwise the full walk runs.  Its leaves are kept as packed profile
     keys, one list per dimension, and each lower leaf certifies impurity
@@ -607,6 +660,12 @@ def _walk_verdict(polytope: Polytope):
             least = min(lower, key=lambda acc: sum(a.bit_count() for a in acc))
             if not _has_larger(units, n, least):
                 return False, top
+
+    alcove = _polytrope(polytope)
+    if alcove is not None:
+        if _alcove_dimension(alcove) != top:
+            raise AssertionError("the polytrope's dimension differs from the tropical rank")
+        return True, top
 
     def leaf(acc, colmin):
         dim = visit(acc, colmin)
@@ -643,9 +702,11 @@ def pure_dimension(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES):
 
     Served by the verdict walk over covering cells, each generator's room
     first, which stops at the first covering cell of lower dimension than
-    the tropical rank that lies in the closure of no other covering cell,
-    and is memoised on the polytope; the bound applies as for
-    `cell_complex`, on every call.
+    the tropical rank that lies in the closure of no other covering cell.
+    When every room holds a top cell, a polytrope certificate (the
+    polytope or its minimal embedding is min-plus convex) answers pure
+    without the full walk; see `_walk_verdict`.  Memoised on the polytope;
+    the bound applies as for `cell_complex`, on every call.
     """
     _check_scale(polytope, max_tuples)
     if polytope._covering is None:

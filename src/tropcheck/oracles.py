@@ -245,13 +245,21 @@ def _suite(name: str):
 
 @_suite("projectivity-geometry")
 def suite_projectivity_geometry(rng, count, n, m):
-    """Algebraic projectivity vs pure dimension = generator = dual dimension."""
+    """Algebraic projectivity vs pure dimension = generator = dual dimension,
+    with the verdict checked against the full cell complex of an equal
+    polytope, the walk the polytrope certificates stand in for."""
     for p in polytope_corpus(rng, count, max_n=n, max_m=m):
         algebraic = is_projective(p).projective
         pure, dim = pure_dimension(p)
+        full = cell_complex(Polytope(p.generators))
         geometric = pure and dim == p.generator_dimension() == p.dual_dimension()
-        if algebraic != geometric:
-            yield {"generators": _poly_doc(p), "algebraic": algebraic, "geometric": geometric}
+        if algebraic != geometric or (pure, dim) != (full.pure, full.tropical_dim):
+            yield {
+                "generators": _poly_doc(p),
+                "algebraic": algebraic,
+                "geometric": geometric,
+                "cells": {"pure": full.pure, "tropical_dim": full.tropical_dim},
+            }
 
 
 def full_dimension_polytope(rng, n: int, lo=-5, hi=5) -> Polytope:

@@ -60,7 +60,10 @@ class Polytope:
     # Derived objects are memoised on the instance.  Each is a pure function
     # of the frame, so a concurrent first computation writes an equal value
     # and sharing a polytope across threads stays safe.
-    __slots__ = ("ambient", "_frame", "_generators", "_extremals", "_row_space", "_complex", "_covering", "_rank")
+    __slots__ = (
+        "ambient", "_frame", "_generators", "_extremals", "_row_space",
+        "_complex", "_covering", "_rank", "_min_plus_convex",
+    )
 
     def __init__(self, points):
         pts = [as_vector(p, finite=True) for p in points]
@@ -97,6 +100,7 @@ class Polytope:
         self._complex = None  # owned by cells.cell_complex
         self._covering = None  # owned by cells.pure_dimension
         self._rank = None  # owned by cells._rank
+        self._min_plus_convex = None  # owned by is_min_plus_convex
 
     @property
     def generators(self) -> tuple:
@@ -219,7 +223,17 @@ class Polytope:
         breakpoints t in {g_c - h_c} the vector min(g, t + h) is a max-plus
         combination of the interval endpoints; so checking every breakpoint
         for every ordered pair decides closure exactly.
+
+        Memoised on the polytope: the purity verdict asks it first
+        (`cells._walk_verdict`), and the caller's own question is then a
+        memo hit.
         """
+        if self._min_plus_convex is None:
+            self._min_plus_convex = self._min_plus_closed()
+        return self._min_plus_convex
+
+    def _min_plus_closed(self) -> bool:
+        """`is_min_plus_convex` without the memo: every breakpoint tested."""
         denom, stored = self._ints()
         own, ext = self.extremals()._ints()
         gens = _lift(ext, denom // own)  # own divides denom

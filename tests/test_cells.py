@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from tropcheck.cells import (
     covector_dimension,
     realize_profile,
 )
+from tropcheck.cli import main
 from tropcheck.oracles import random_idempotent, random_matrix, random_point, random_polytope
 from tropcheck.polytopes import canonical_point
 
@@ -895,6 +897,122 @@ def test_verdict_walk_makes_fewer_stars_than_the_reference(monkeypatch):
     assert closures <= 358
 
 
+def test_pure_verdicts_make_few_stars(monkeypatch):
+    # five column spaces per (n, full rank) for n = 4, 5, 6, all pure: the
+    # room pass finds a top leaf in every room and the polytrope
+    # certificate answers, so no full walk runs.  The counts are
+    # deterministic and the ceilings are the walk's own; with the full
+    # walk after the room pass the same groups took 627, 505, 1949, 1183,
+    # 6062 and 1512 stars
+    rng = random.Random(21)
+    groups = [
+        [column_space(random_idempotent(n, rng=rng, full_rank=full_rank, spread=5)) for _ in range(5)]
+        for n in (4, 5, 6)
+        for full_rank in (True, False)
+    ]
+    stars = [0]
+    real = cells._star
+
+    def counted(*args):
+        stars[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(cells, "_star", counted)
+    counts = []
+    for group in groups:
+        stars[0] = 0
+        assert all(pure_dimension(p, 10**30)[0] for p in group)
+        counts.append(stars[0])
+    for count, ceiling in zip(counts, [91, 86, 153, 150, 213, 185]):
+        assert count <= ceiling
+
+
+# -- the polytrope certificates
+
+
+def _lifted(gens, rng, extra):
+    """The generators with `extra` coordinates x_p = max_q(a_q + x_q)
+    appended, random a, then the coordinates shuffled: each new coordinate
+    is a max-plus function of the old ones, so the polytope is a copy of
+    the span of `gens` that need not be min-plus convex itself."""
+    k = len(gens[0])
+    lifts = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(extra)]
+    rows = [tuple(g) + tuple(max(a + x for a, x in zip(row, g)) for row in lifts) for g in gens]
+    perm = list(range(k + extra))
+    rng.shuffle(perm)
+    return Polytope([tuple(g[j] for j in perm) for g in rows])
+
+
+def _polytropes():
+    """Idempotent column spaces, full rank and lower rank, for n = 2 to 6,
+    and projective polytopes lifted to extra coordinates."""
+    rng = random.Random(29)
+    spaces = [
+        column_space(random_idempotent(n, rng=rng, full_rank=full_rank, spread=3))
+        for n in range(2, 7)
+        for full_rank in (True, False)
+    ]
+    lifted = [
+        _lifted(column_space(random_idempotent(k, rng=rng, full_rank=k % 2 == 0, spread=3)).generators, rng, extra)
+        for k in (2, 3, 4)
+        for extra in (1, 2)
+    ]
+    return spaces + lifted
+
+
+def test_polytrope_certificates_answer_without_the_full_walk(monkeypatch):
+    # the verdict equals the full complex's, and no walk over every
+    # profile runs: each room has its top leaf, and the polytope or its
+    # minimal embedding is min-plus convex
+    cases = _polytropes()
+    fulls = [cell_complex(Polytope(p.generators), 10**30) for p in cases]
+    expected = [(full.pure, full.tropical_dim) for full in fulls]
+    assert all(pure for pure, _ in expected)
+    # some lifted polytope is not min-plus convex itself: its image is
+    assert any(not Polytope(p.generators).is_min_plus_convex() for p in cases)
+    real = cells._walk
+
+    def walk(units, n, leaf, room, covering):
+        if room == [(1 << n) - 1] * len(units):
+            raise AssertionError("the full walk was reached")
+        return real(units, n, leaf, room, covering)
+
+    monkeypatch.setattr(cells, "_walk", walk)
+    assert [pure_dimension(Polytope(p.generators), 10**30) for p in cases] == expected
+
+
+def test_a_class_count_off_by_one_fails_the_cross_check(monkeypatch):
+    real = cells._alcove_dimension
+    for shift in (1, -1):
+        monkeypatch.setattr(cells, "_alcove_dimension", lambda p, shift=shift: real(p) + shift)
+        for p in _polytropes()[::3]:
+            with pytest.raises(AssertionError, match="polytrope's dimension differs from the tropical rank"):
+                pure_dimension(Polytope(p.generators), 10**30)
+
+
+def test_the_min_plus_test_runs_once_per_polytope(monkeypatch, tmp_path):
+    # pure_dimension asks it first, and is_min_plus_convex and the
+    # `polytope` subcommand then read the memo; a polytope that is not
+    # min-plus convex itself adds its minimal embedding's image, once
+    tested = []
+    real = Polytope._min_plus_closed
+    monkeypatch.setattr(Polytope, "_min_plus_closed", lambda p: tested.append(p) or real(p))
+    for p in _polytropes():
+        tested.clear()
+        fresh = Polytope(p.generators)
+        assert pure_dimension(fresh, 10**30)[0]
+        convex = fresh.is_min_plus_convex()
+        assert fresh.is_min_plus_convex() == convex
+        assert len(tested) == (1 if convex else 2)
+        assert tested[0] is fresh
+        assert convex or tested[1] is not fresh
+    doc = tmp_path / "p.json"
+    doc.write_text(json.dumps({"ambient": 2, "generators": [[0, -1], [-2, 0]]}), encoding="utf-8")
+    tested.clear()
+    assert main(["polytope", "--input", str(doc), "--output", str(tmp_path / "out")]) == 0
+    assert len(tested) == 1
+
+
 # -- invariance under translation, positive integer scaling and permutation
 #
 # Mixed magnitudes up to 10^30 over denominators up to 10^17, as for the
@@ -963,10 +1081,17 @@ def test_cells_invariant_under_permutation(p, rng):
 @st.composite
 def _mixed_cases(draw):
     """A polytope with points to query (members and near misses), and a
-    square matrix: random, or a scaled idempotent, which is regular."""
+    square matrix: random, or a scaled idempotent, which is regular.  One
+    polytope in three is a scaled idempotent column space, pure, so that
+    its verdict comes from the polytrope certificates at large lcms."""
     n = draw(st.integers(1, 4))
-    p = Polytope([tuple(draw(_mixed) for _ in range(n)) for _ in range(draw(st.integers(1, 4)))])
     rng = random.Random(draw(st.integers(0, 10**6)))
+    if draw(st.integers(0, 2)):
+        p = Polytope([tuple(draw(_mixed) for _ in range(n)) for _ in range(draw(st.integers(1, 4)))])
+    else:
+        e = random_idempotent(n, rng=rng, full_rank=draw(st.booleans()), spread=5)
+        scale = draw(_mixed.filter(lambda v: v > 0))
+        p = column_space(Matrix([[v * scale for v in row] for row in e.entries]))
     points = []
     for _ in range(3):
         x = random_point(p, rng=rng)

@@ -135,6 +135,19 @@ def test_rank_equality_reports_a_disagreement_field_by_field(monkeypatch):
         assert list(failure["report"]) == ["row_gen_rank", "col_gen_rank", "tropical_rank", "all_equal"]
 
 
+def test_projectivity_geometry_checks_the_verdict_against_the_cells(monkeypatch):
+    # a verdict that keeps algebraic and geometric projectivity agreeing on
+    # the non-projective instances is still caught by the full complex
+    monkeypatch.setattr(oracles, "pure_dimension", lambda p: (False, -1))
+    summary = run_suite("projectivity-geometry", seed=9, count=8, n=3, m=3)
+    corpus = polytope_corpus(9, 8, max_n=3, max_m=3)
+    assert len(summary["failures"]) == len(corpus)
+    for p, failure in zip(corpus, summary["failures"]):
+        full = cell_complex(p)
+        assert failure["geometric"] is False
+        assert failure["cells"] == {"pure": full.pure, "tropical_dim": full.tropical_dim}
+
+
 def test_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("nope")

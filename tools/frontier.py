@@ -31,9 +31,19 @@ depend on which polytope happened to be slowest.  Between two FRONTIER
 files a changed count is changed work, and a time that moves without it is
 per-step speed or machine noise.
 
+A pure block follows the random rows, which it leaves unchanged: for
+each n from 4 to MAX_N, from a fresh `random.Random(5)`, the column
+spaces of five `oracles.random_idempotent(n, full_rank=True, spread=5)`
+and then of five with `full_rank=False`.  Idempotent column spaces are
+projective, hence pure, so the walk can stop at no impurity certificate;
+the polytrope certificates of `cells._walk_verdict` answer them.  Each
+gets the median time and the star count of `pure_dimension`, as above,
+and a group stops at its first polytope over the limit.
+
 Prints, per route, the frontier (for each n the largest m within the
-limit); with --out the frontier and, per shape, the median times in ms
-and the star counts, polytope by polytope, go to a JSON file, with the
+limit), and the slowest pure polytope per n and rank kind; with --out the frontier and,
+per shape, the median times in ms and the star counts, polytope by
+polytope, go to a JSON file, with the pure block under "pure", the
 Python version, CPU count and REPEATS.
 """
 
@@ -51,7 +61,7 @@ from time import perf_counter
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from tropcheck import Polytope, cell_complex, cells, pure_dimension  # noqa: E402
-from tropcheck.oracles import random_vector  # noqa: E402
+from tropcheck.oracles import random_idempotent, random_vector  # noqa: E402
 
 ROUTES = {"cell_complex": cell_complex, "pure_dimension": pure_dimension}
 UNBOUNDED = 10**30  # the nominal profile bound would stop large shapes before the clock does
@@ -79,11 +89,9 @@ def star_count(route, gens) -> int:
     return count
 
 
-def shape_times(route, n: int, m: int):
-    """Median seconds and star count of each polytope of one shape,
-    stopping at the first over the limit."""
-    rng = random.Random(5)
-    polytopes = [[random_vector(n, rng=rng, lo=-20, hi=20) for _ in range(m)] for _ in range(5)]
+def polytope_times(route, polytopes):
+    """Median seconds and star count of each polytope, given by its
+    generators, stopping at the first over the limit."""
     times = []
     stars = []
     for gens in polytopes:
@@ -98,6 +106,28 @@ def shape_times(route, n: int, m: int):
         if times[-1] >= LIMIT_S:
             break
     return times, stars
+
+
+def shape_times(route, n: int, m: int):
+    """`polytope_times` of the five random polytopes of one shape."""
+    rng = random.Random(5)
+    return polytope_times(route, [[random_vector(n, rng=rng, lo=-20, hi=20) for _ in range(m)] for _ in range(5)])
+
+
+def pure_block() -> dict:
+    """`pure_dimension` on the idempotent column spaces of the pure block,
+    per n and rank kind: times in ms and star counts."""
+    block = {}
+    for n in range(4, MAX_N + 1):
+        rng = random.Random(5)
+        for kind, full_rank in (("full_rank", True), ("lower_rank", False)):
+            spaces = [
+                tuple(zip(*random_idempotent(n, rng=rng, full_rank=full_rank, spread=5).entries))
+                for _ in range(5)
+            ]
+            times, stars = polytope_times(pure_dimension, spaces)
+            block[f"{n},{kind}"] = {"times_ms": [round(t * 1e3, 1) for t in times], "stars": stars}
+    return block
 
 
 def frontier(route) -> dict:
@@ -130,6 +160,8 @@ def main(argv=None) -> int:
         result = frontier(route)
         record["routes"][name] = result
         print(f"{name}: " + " ".join(f"({n},{m})" for n, m in result["largest_m"].items()), flush=True)
+    record["pure"] = pure_block()
+    print("pure slowest ms: " + " ".join(f"{key}:{max(row['times_ms'])}" for key, row in record["pure"].items()))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(record, handle, indent=1)
