@@ -4,8 +4,10 @@ The projectivity decision is synthesize-and-verify: embed the polytope
 minimally, build the candidate idempotent whose i-th column is the infimum
 of the points with non-negative i-th coordinate, and accept exactly when
 that matrix is idempotent with the embedded polytope as its column space.
-This yields the witness idempotent for free and is exact; the breakpoint
-min-plus-convexity test stays available as an independent cross-check.
+This yields the witness idempotent for free and is exact; the min-plus
+convexity test (`Polytope.is_min_plus_convex`: are the infimum matrix's
+columns members?) stays available as a cross-check, and the tests hold
+that one to the breakpoint analysis.
 """
 
 from __future__ import annotations

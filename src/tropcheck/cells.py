@@ -70,12 +70,15 @@ tropical dimension is the tropical rank of the generator matrix
 `_tropical_rank`, memoised on the polytope, and never walks.  The walk for
 purity takes that rank as its top dimension, so the first covering leaf
 below it with no covering profile strictly inside its own proves the
-polytope impure and stops the walk.  A room pass looks for that leaf
-first, one generator at a time, among the profiles inside the generator's
-own argmin profile: the covering cells whose closure holds it.  A pure
-polytope's generator lies in the closure of a top cell, whose profile
-lies inside the generator's own mask by mask, so a room with no top leaf
-proves impurity through its least leaf; a room that has one stops there.
+polytope impure and stops the walk.  A room pass runs first, one
+generator at a time, over the profiles inside the generator's own argmin
+profile: the covering cells whose closure holds it.  A pure polytope's
+generator lies in the closure of a top cell, whose profile lies inside
+the generator's own mask by mask, so a room with no top leaf proves
+impurity; a room that has one stops there.  As a room walk asks only for
+a top leaf, it is floored at the rank: once its first leaf is decoded it
+skips every child whose components so far plus uncovered coordinates,
+which bound the dimension of every leaf below, fall short of the rank.
 When every room has its top leaf, a polytope that is min-plus convex, or
 whose minimal embedding is, is a polytrope (Joswig-Kulas): classically
 convex, hence pure, with its dimension read off the generators, which
@@ -417,26 +420,28 @@ def cell_complex(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES) -> Ce
     return polytope._complex
 
 
+def _merge(parts, a):
+    """The components `parts`, disjoint bitmasks, with mask a added: the
+    parts a meets merge with it into one."""
+    rest = []
+    for b in parts:
+        if a & b:
+            a |= b
+        else:
+            rest.append(b)
+    rest.append(a)
+    return rest
+
+
 def _mask_dimension(masks, n):
     """covector_dimension on argmin bitmasks: coordinates p and q share a
     generator exactly when some mask holds both, so the components are the
     overlapping masks merged, plus one per coordinate no mask holds."""
-    parts = []
-    union = 0
-    for a in masks:
-        union |= a
-        rest = []
-        for b in parts:
-            if a & b:
-                a |= b
-            else:
-                rest.append(b)
-        rest.append(a)
-        parts = rest
-    return len(parts) + n - union.bit_count()
+    parts = reduce(_merge, masks, [])
+    return len(parts) + n - sum(b.bit_count() for b in parts)
 
 
-def _walk(units, n, leaf, room, covering) -> bool:
+def _walk(units, n, leaf, room, covering, floor=0) -> bool:
     """The depth-first search over the argmin profiles of the generators
     `units` (ints scaled by _UNIT), which the full complex and the verdict
     share.
@@ -448,10 +453,23 @@ def _walk(units, n, leaf, room, covering) -> bool:
     docstring); without, it takes the generators in index order.  It
     stops at the first leaf for which `leaf` returns true, and returns
     whether it stopped.
+
+    A positive `floor` asks only for leaves of that dimension or more.
+    Every node carries the components of the masks placed so far,
+    `_merge`d, and a child is skipped before its star step when those
+    components plus its uncovered coordinates fall below the floor.  That
+    count bounds the dimension of every leaf below the child: a further
+    mask turns the c components it meets into one and covers u more
+    coordinates, a change of 1 - c - u, and being non-empty it meets a
+    component or covers a coordinate, so the count never rises; at a
+    leaf it is `_mask_dimension`.  The floor is armed only after the first leaf, so
+    a walk that finds any leaf decodes at least one.
     """
     acc = [0] * len(units)
+    bar = 0
 
-    def walk(dist, colmin, rest, dead, uncovered):
+    def walk(dist, colmin, rest, dead, uncovered, parts):
+        nonlocal bar
         lives = [(room[j] & ~bits).bit_count() for j, bits in zip(rest, dead)] if covering else [0]
         k = lives.index(min(lives))
         j, v, gone = rest[k], units[rest[k]], dead[k]
@@ -461,6 +479,9 @@ def _walk(units, n, leaf, room, covering) -> bool:
         for mask in _feasible_masks(dist, n, v, room[j] & ~gone):
             left = uncovered & ~mask
             if covering and left & doomed:
+                continue
+            merged = _merge(parts, mask) if floor else parts
+            if len(merged) + left.bit_count() < bar:
                 continue
             step = _star(dist, n, v, mask)
             if step is None:
@@ -477,11 +498,12 @@ def _walk(units, n, leaf, room, covering) -> bool:
             if not rest:
                 if leaf(tuple(acc), cols):
                     return True
-            elif walk(_close(dist, n, into, out) if tight else dist, cols, rest, below, left):
+                bar = floor
+            elif walk(_close(dist, n, into, out) if tight else dist, cols, rest, below, left, merged):
                 return True
         return False
 
-    return walk(_fresh(n), [0] * n, tuple(range(len(units))), (0,) * len(units), (1 << n) - 1)
+    return walk(_fresh(n), [0] * n, tuple(range(len(units))), (0,) * len(units), (1 << n) - 1, [])
 
 
 def _key(masks, n) -> int:
@@ -597,10 +619,12 @@ def _walk_verdict(polytope: Polytope):
     the profiles inside g's own argmin profile, which are the covering
     cells whose closure holds g, stops at its first leaf of the top
     dimension.  In a pure polytope g lies in the closure of a top cell,
-    whose profile lies inside g's own mask by mask, so that walk finds it.
-    A room with no top leaf certifies impurity through its leaf with the
-    fewest argmin coordinates, when `_has_larger` finds no covering cell
-    whose closure holds it: any such cell's profile lies in the same room.
+    whose profile lies inside g's own mask by mask, so that walk finds it,
+    and a room with no top leaf certifies impurity.  The room walks are
+    floored at the rank (`_walk`): the subtrees they skip hold only lower
+    leaves, so they find a top leaf exactly when an unfloored walk does.
+    Every leaf they visit is still decoded, re-checked and held to the
+    rank, and each visits at least one.
 
     When every room has a top leaf, a polytrope certificate comes next.  A
     max-plus polytope P that is also min-plus closed is the alcoved
@@ -639,7 +663,6 @@ def _walk_verdict(polytope: Polytope):
     units, lifted, _ = _scaled(polytope)
     top = _rank(polytope)
     keys = [[] for _ in range(top + 1)]
-    lower = []
 
     def visit(acc, colmin):
         _witness(colmin, lifted, acc)
@@ -649,17 +672,11 @@ def _walk_verdict(polytope: Polytope):
         return dim
 
     def room_leaf(acc, colmin):
-        if visit(acc, colmin) == top:
-            return True
-        lower.append(acc)
-        return False
+        return visit(acc, colmin) == top
 
     for g in units:
-        lower.clear()
-        if not _walk(units, n, room_leaf, list(_argmin_masks(g, units)), True):
-            least = min(lower, key=lambda acc: sum(a.bit_count() for a in acc))
-            if not _has_larger(units, n, least):
-                return False, top
+        if not _walk(units, n, room_leaf, list(_argmin_masks(g, units)), True, top):
+            return False, top
 
     alcove = _polytrope(polytope)
     if alcove is not None:

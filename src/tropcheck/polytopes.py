@@ -17,8 +17,8 @@ constructor, `_from_frame`, takes int rows over any common denominator to
 that form in ints; `Polytope(points)` validates its points and goes
 through it, and so do the derived polytopes (`extremals()`, `row_space()`,
 `embed_minimal()`'s image, `column_space` and `row_space` of a `Matrix`).
-Membership, extremal reduction and the min-plus convexity breakpoints run
-on frames; a query point is lifted with the polytope to the lcm of both
+Membership, extremal reduction and the min-plus convexity test run on
+frames; a query point is lifted with the polytope to the lcm of both
 denominators.  The extremal polytope has a frame of its own, over the lcm
 of its own generators' denominators, and the cells read that one.
 `Fraction`s are built only for what the API returns: the generators, on
@@ -218,11 +218,14 @@ class Polytope:
     def is_min_plus_convex(self) -> bool:
         """Is the point set closed under componentwise minimum?
 
-        Lattice distributivity reduces closure under min to pairs of scaled
-        extremal generators, and on each interval between consecutive
-        breakpoints t in {g_c - h_c} the vector min(g, t + h) is a max-plus
-        combination of the interval endpoints; so checking every breakpoint
-        for every ordered pair decides closure exactly.
+        The polytope P lies in the alcoved polytope Q = {x : x_j - x_i <=
+        c_ij}, c_ij the largest g_j - g_i over the extremal generators g,
+        and P is min-plus closed exactly when P = Q (`cells._walk_verdict`
+        proves P = Q from closure; Q, cut out by difference bounds, is
+        closed).  Q is the max-plus span of the columns of the infimum
+        matrix, column i the point with x_i = 0 and x_j = -c_ji: any x in
+        Q is the maximum over i of x_i plus column i.  So n membership
+        tests of those columns decide closure.
 
         Memoised on the polytope: the purity verdict asks it first
         (`cells._walk_verdict`), and the caller's own question is then a
@@ -233,20 +236,12 @@ class Polytope:
         return self._min_plus_convex
 
     def _min_plus_closed(self) -> bool:
-        """`is_min_plus_convex` without the memo: every breakpoint tested."""
-        denom, stored = self._ints()
-        own, ext = self.extremals()._ints()
-        gens = _lift(ext, denom // own)  # own divides denom
-        for g in gens:
-            for h in gens:
-                if h is g:
-                    continue  # min(g, g) = g is a member: nothing to decide
-                for c in range(self.ambient):
-                    t = g[c] - h[c]
-                    w = tuple(min(gp, t + hp) for gp, hp in zip(g, h))
-                    if not _member(w, stored):
-                        return False
-        return True
+        """`is_min_plus_convex` without the memo: is every column of the
+        infimum matrix, entry j of column i the least g_j - g_i over the
+        extremal generators, taken on their frame, a member?"""
+        gens = self.extremals()._ints()[1]
+        cols = list(zip(*gens))
+        return all(_member(tuple([min([a - b for a, b in zip(cj, ci)]) for cj in cols]), gens) for ci in cols)
 
     # -- value semantics
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropcheck import (
     DimensionMismatch,
@@ -16,7 +18,8 @@ from tropcheck import (
     vec_min,
     vec_scale,
 )
-from tropcheck.oracles import minplus_sampling_refuter, random_point, random_polytope
+from tropcheck.oracles import minplus_sampling_refuter, random_idempotent, random_point, random_polytope
+from tropcheck.polytopes import _member
 
 
 def grid_witness(x, gens, lo=-6, hi=6, step=Fraction(1, 2)):
@@ -239,6 +242,46 @@ def test_breakpoint_test_agrees_with_sampling():
             if pair is not None:
                 x, y = pair
                 assert x in p and y in p and vec_min(x, y) not in p
+
+
+def _breakpoints_closed(p):
+    # the test `is_min_plus_convex` ran before it read the infimum matrix:
+    # lattice distributivity reduces closure under min to pairs of scaled
+    # extremal generators, and on each interval between consecutive
+    # breakpoints t in {g_c - h_c} the vector min(g, t + h) is a max-plus
+    # combination of the interval endpoints, so every breakpoint of every
+    # ordered pair, m(m - 1)n membership tests, decides closure
+    gens = p.extremals()._ints()[1]
+    for g in gens:
+        for h in gens:
+            for c in range(p.ambient):
+                t = g[c] - h[c]
+                if not _member(tuple(min(gp, t + hp) for gp, hp in zip(g, h)), gens):
+                    return False
+    return True
+
+
+@st.composite
+def _convexity_cases(draw):
+    # tie-heavy integers, rationals, idempotent column spaces (always
+    # closed), and a few points of one of those (often not)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    n = rng.randint(1, 6)
+    kind = draw(st.sampled_from(["ints", "rationals", "idempotent", "points"]))
+    if kind == "ints":
+        return Polytope([[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 6))])
+    if kind == "rationals":
+        return random_polytope(n, rng.randint(1, 6), rng=rng, max_den=7)
+    space = column_space(random_idempotent(n, rng=rng, full_rank=rng.random() < 0.5, spread=3))
+    if kind == "idempotent":
+        return space
+    return Polytope([random_point(space, rng=rng) for _ in range(rng.randint(1, 6))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_convexity_cases())
+def test_infimum_columns_decide_min_plus_convexity_as_the_breakpoints_do(p):
+    assert Polytope(p.generators)._min_plus_closed() == _breakpoints_closed(p)
 
 
 def test_points_stay_in_the_generator_box():
