@@ -51,9 +51,9 @@ coordinate.  The witness re-check, the faces, `argmin_profile`,
 `covector` and `descend_to_singletons` all go through them; frozensets
 are built only for returned values.
 
-One depth-first walk, `_walk`, serves the full complex, the verdict and
-its sub-searches.  Purity asks only for the verdict (pure, dim), and the
-walk pruned to covering cells settles it, often early.  Its nodes carry
+One depth-first walk, `_walk`, serves the full complex and the verdict.
+Purity asks only for the verdict (pure, dim), and the walk pruned to
+covering cells settles it, often early.  Its nodes carry
 the dead mask of each generator still to place: u turns dead for v when
 into[u] + v_u + min_q(out[q] - v_q) < 0, O(n) per generator (`_carry`).
 Dead stays dead, as closure entries only fall, so a child leaving a
@@ -69,17 +69,18 @@ tropical dimension is the tropical rank of the generator matrix
 (Develin-Santos-Sturmfels), so `tropical_dimension` reads it off
 `_tropical_rank`, memoised on the polytope, and never walks.  The walk for
 purity takes that rank as its top dimension, so the first covering leaf
-below it with no covering profile strictly inside its own proves the
-polytope impure and stops the walk.  A room pass runs first, one
-generator at a time, over the profiles inside the generator's own argmin
-profile: the covering cells whose closure holds it.  A pure polytope's
-generator lies in the closure of a top cell, whose profile lies inside
-the generator's own mask by mask, so a room with no top leaf proves
-impurity; a room that has one stops there.  As a room walk asks only for
-a top leaf, it is floored at the rank: once its first leaf is decoded it
-skips every child whose components so far plus uncovered coordinates,
-which bound the dimension of every leaf below, fall short of the rank.
-When every room has its top leaf, a polytope that is min-plus convex, or
+below it that lies in the closure of no other covering cell proves the
+polytope impure and stops the walk.  Whether a larger cell's closure
+holds a point needs no second walk: near a point with argmin masks A_i
+the polytope is the point plus the max-plus span of the 0/-inf
+indicators of the A_i, so its local dimension there, the largest
+dimension of a covering cell whose closure holds the point, is a
+function of the masks, `_local_profile`.  A room pass reads it first at
+each extremal generator, off the generator's own argmin masks; a pure
+polytope has the rank as its local dimension everywhere, so a generator
+below it proves impurity.  The lemma also gives a point of a cell of
+that dimension next to the generator, whose argmin masks are re-checked.
+When every generator has the rank, a polytope that is min-plus convex, or
 whose minimal embedding is, is a polytrope (Joswig-Kulas): classically
 convex, hence pure, with its dimension read off the generators, which
 must equal the rank.  Only the pure polytopes no such certificate
@@ -94,7 +95,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from operator import and_, itemgetter
+from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
 from .errors import (
@@ -323,10 +324,17 @@ def _feasible_masks(dist, n, units, room=-1):
     return found
 
 
+def _recheck(point, gens, masks):
+    """An AssertionError unless the argmin bitmasks of `point` relative to
+    `gens`, on one integer scale, are exactly `masks`."""
+    if _argmin_masks(point, gens) != tuple(masks):
+        raise AssertionError("cell witness failed to realise its own profile")
+
+
 def _witness(colmin, lifted, masks):
     """Decode the column minima of a closure into the integer numerators,
     over the scale 4 * _UNIT * denom, of a point whose argmin bitmasks are
-    exactly `masks`; an AssertionError if they are not.
+    exactly `masks`; `_recheck` raises if they are not.
 
     Potentials from the closure satisfy every non-strict bound; strict
     bounds are realised by an epsilon of 1 / scale, small enough that one
@@ -339,8 +347,7 @@ def _witness(colmin, lifted, masks):
     for best in colmin:
         c = -((-best) // _UNIT)
         nums.append(4 * _UNIT * c - (c * _UNIT - best))
-    if _argmin_masks(nums, lifted) != tuple(masks):
-        raise AssertionError("cell witness failed to realise its own profile")
+    _recheck(nums, lifted, masks)
     return nums
 
 
@@ -441,7 +448,63 @@ def _mask_dimension(masks, n):
     return len(parts) + n - sum(b.bit_count() for b in parts)
 
 
-def _walk(units, n, leaf, room, covering, floor=0) -> bool:
+def _local_profile(masks, n):
+    """The local dimension of the polytope at a point x whose argmin masks
+    `masks` cover every coordinate, and a cell of that dimension whose
+    closure holds x: (k, z, profile), with x + eps * z in that cell for
+    every small eps > 0 and `profile` its argmin masks.
+
+    Near x the polytope is x plus the max-plus span of the 0/-inf
+    indicators of the masks (`_walk_verdict`), so a point x + z has
+    z_p = max over the masks A holding p of mu_A.  Where the mu_A are
+    distinct, z is linear in mu, and its rank counts the masks that hold a
+    coordinate no mask of larger mu holds.  So k is the largest number of
+    masks that can be listed so that each holds a coordinate none before
+    it holds.  Only the union of a listing decides which masks can extend
+    it, so a DP over unions, in increasing order, finds the longest
+    listing; it ends at the union of all masks.  Giving its masks heights
+    k, ..., 1 in order, z_p is the height of the first one holding p.  The
+    coordinates of height h are those the h-th last mask added, which that
+    mask holds whole, and every mask's argmin of z lies in one height, so
+    the argmin profile of x + eps * z has exactly k components.
+    """
+    full = (1 << n) - 1
+    distinct = list(dict.fromkeys(masks))
+    longest = [-1] * (1 << n)
+    longest[0] = 0
+    before = [0] * (1 << n)
+    for u in range(full):
+        if longest[u] < 0:
+            continue
+        k = longest[u] + 1
+        for a in distinct:
+            w = u | a
+            if w != u and longest[w] < k:
+                longest[w] = k
+                before[w] = u
+    # walk the longest listing back from the full union: the h-th last
+    # mask added gets height h on the coordinates it added
+    z = [0] * n
+    levels = []
+    u = full
+    while u:
+        level = u & ~before[u]
+        u = before[u]
+        levels.append(level)
+        while level:
+            low = level & -level
+            z[low.bit_length() - 1] = len(levels)
+            level ^= low
+    profile = []
+    for a in masks:
+        for level in levels:
+            if a & level:
+                profile.append(a & level)
+                break
+    return len(levels), z, tuple(profile)
+
+
+def _walk(units, n, leaf, room, covering) -> bool:
     """The depth-first search over the argmin profiles of the generators
     `units` (ints scaled by _UNIT), which the full complex and the verdict
     share.
@@ -453,23 +516,10 @@ def _walk(units, n, leaf, room, covering, floor=0) -> bool:
     docstring); without, it takes the generators in index order.  It
     stops at the first leaf for which `leaf` returns true, and returns
     whether it stopped.
-
-    A positive `floor` asks only for leaves of that dimension or more.
-    Every node carries the components of the masks placed so far,
-    `_merge`d, and a child is skipped before its star step when those
-    components plus its uncovered coordinates fall below the floor.  That
-    count bounds the dimension of every leaf below the child: a further
-    mask turns the c components it meets into one and covers u more
-    coordinates, a change of 1 - c - u, and being non-empty it meets a
-    component or covers a coordinate, so the count never rises; at a
-    leaf it is `_mask_dimension`.  The floor is armed only after the first leaf, so
-    a walk that finds any leaf decodes at least one.
     """
     acc = [0] * len(units)
-    bar = 0
 
-    def walk(dist, colmin, rest, dead, uncovered, parts):
-        nonlocal bar
+    def walk(dist, colmin, rest, dead, uncovered):
         lives = [(room[j] & ~bits).bit_count() for j, bits in zip(rest, dead)] if covering else [0]
         k = lives.index(min(lives))
         j, v, gone = rest[k], units[rest[k]], dead[k]
@@ -479,9 +529,6 @@ def _walk(units, n, leaf, room, covering, floor=0) -> bool:
         for mask in _feasible_masks(dist, n, v, room[j] & ~gone):
             left = uncovered & ~mask
             if covering and left & doomed:
-                continue
-            merged = _merge(parts, mask) if floor else parts
-            if len(merged) + left.bit_count() < bar:
                 continue
             step = _star(dist, n, v, mask)
             if step is None:
@@ -498,12 +545,11 @@ def _walk(units, n, leaf, room, covering, floor=0) -> bool:
             if not rest:
                 if leaf(tuple(acc), cols):
                     return True
-                bar = floor
-            elif walk(_close(dist, n, into, out) if tight else dist, cols, rest, below, left, merged):
+            elif walk(_close(dist, n, into, out) if tight else dist, cols, rest, below, left):
                 return True
         return False
 
-    return walk(_fresh(n), [0] * n, tuple(range(len(units))), (0,) * len(units), (1 << n) - 1, [])
+    return walk(_fresh(n), [0] * n, tuple(range(len(units))), (0,) * len(units), (1 << n) - 1)
 
 
 def _key(masks, n) -> int:
@@ -572,11 +618,17 @@ def _compute_complex(polytope: Polytope) -> CellComplex:
     return CellComplex(faces=tuple(face for _, face in keyed), tropical_dim=top, pure=pure)
 
 
-def _has_larger(units, n, masks) -> bool:
-    """Does the walk over the generators `units` find a covering profile
-    strictly inside `masks`, mask by mask?  Such a profile is the type of
-    a covering cell whose closure holds the cell of `masks`."""
-    return _walk(units, n, lambda sub, _colmin: sub != masks, masks, True)
+def _local_dimension(g, units, n) -> int:
+    """The local dimension of the polytope at its extremal generator g,
+    from g's argmin masks by `_local_profile`, checked at the point g + z
+    (`_walk_verdict`): its argmin masks must be the profile returned, and
+    cover every coordinate, so g + z lies in the polytope, in a cell of
+    the profile's dimension whose closure holds g."""
+    _, z, profile = _local_profile(_argmin_masks(g, units), n)
+    _recheck([a + b for a, b in zip(g, z)], units, profile)
+    if reduce(or_, profile) != (1 << n) - 1:
+        raise AssertionError("a local profile left a coordinate uncovered")
+    return _mask_dimension(profile, n)
 
 
 def _rank(polytope: Polytope) -> int:
@@ -614,20 +666,37 @@ def _walk_verdict(polytope: Polytope):
     """(pure, tropical_dim) from the covering leaves of the pruned walk,
     which stops at the first impurity certificate (module docstring).
 
-    The top dimension is the tropical rank of the generators.  A room pass
-    runs first: for each extremal generator g, in index order, a walk over
-    the profiles inside g's own argmin profile, which are the covering
-    cells whose closure holds g, stops at its first leaf of the top
-    dimension.  In a pure polytope g lies in the closure of a top cell,
-    whose profile lies inside g's own mask by mask, so that walk finds it,
-    and a room with no top leaf certifies impurity.  The room walks are
-    floored at the rank (`_walk`): the subtrees they skip hold only lower
-    leaves, so they find a top leaf exactly when an unfloored walk does.
-    Every leaf they visit is still decoded, re-checked and held to the
-    rank, and each visits at least one.
+    The top dimension is the tropical rank of the generators.  Every
+    certificate reads the local dimension of the polytope P at a point x:
+    the largest dimension of a covering cell whose closure holds x.  P is
+    pure exactly when that is the top dimension at every point of P, as
+    the closure of a cell is a union of cells.
 
-    When every room has a top leaf, a polytrope certificate comes next.  A
-    max-plus polytope P that is also min-plus closed is the alcoved
+    The local cone lemma: let x lie in P with argmin masks A_i, one per
+    extremal generator g_i, and let the spread of z, its largest entry
+    less its least, be below every gap between the least x_q - g_i[q] and
+    the next.  Then x + z lies in P exactly when z_p = max over the A_i
+    holding p of min_{A_i} z, for every p; so near x, P is x plus the
+    max-plus span of the 0/-inf indicators of the A_i (the local picture
+    of the Develin-Sturmfels types), and the local dimension at x is a
+    function of the masks alone, `_local_profile`.  Proof: the principal
+    solution at x + z is lambda_i = min_q(x_q - g_i[q]) + min_{A_i} z,
+    and x + z lies in P exactly when max_i(lambda_i + g_i[p]) = x_p + z_p
+    at every p.  A generator whose A_i holds p gives x_p + min_{A_i} z
+    there; any other gives x_p less its gap plus min_{A_i} z, below
+    x_p + z_p as the spread of z is below the gap, so it never attains
+    the max.
+
+    A room pass runs first: at each extremal generator g, in index order,
+    `_local_dimension` reads the local dimension off g's argmin masks.
+    On the generators scaled by _UNIT every gap is at least _UNIT, more
+    than the spread of the heights z, so the point g + z the lemma gives
+    is checked exactly against its profile.  A local dimension above the
+    rank fails the cross-check; one below it means g lies in the closure
+    of no top cell, which certifies impurity.
+
+    When every generator has the rank, a polytrope certificate comes
+    next.  A max-plus polytope P that is also min-plus closed is the alcoved
     polytope Q = {x : x_j - x_i <= c_ij}, c_ij the largest g_j - g_i over
     the extremal generators g:
       - P lies in Q: at a max-plus combination x, the generator attaining
@@ -649,33 +718,31 @@ def _walk_verdict(polytope: Polytope):
     and projection commutes with min, so the image's test subsumes P's
     own; P's is asked first only because it is memoised for the caller.
     Either certificate answers (True, top), once the class count of the
-    polytope that passed equals the rank: with the rooms' top leaves that
-    checks the rank from both sides.  Impure polytopes never reach it.
+    polytope that passed equals the rank: with the generators' local
+    dimensions that checks the rank from both sides.  Impure polytopes
+    never reach it.
 
     Otherwise the full walk runs.  Its leaves are kept as packed profile
     keys, one list per dimension, and each lower leaf certifies impurity
-    unless a recorded larger cell's closure holds it or `_has_larger`
-    finds a covering cell that does.  Every leaf's witness is decoded and
-    re-checked; a leaf above the rank, or a finished walk whose dimension
-    is not the rank, fails the cross-check with an AssertionError.
+    unless a recorded larger cell's closure holds it or the local
+    dimension at its cell, `_local_profile` on its masks, exceeds its own:
+    a cell whose closure holds a point of the leaf's cell holds the whole
+    cell.  Every leaf's witness is decoded and re-checked; a leaf above
+    the rank, or a finished walk whose dimension is not the rank, fails
+    the cross-check with an AssertionError.
     """
     n = polytope.ambient
     units, lifted, _ = _scaled(polytope)
     top = _rank(polytope)
     keys = [[] for _ in range(top + 1)]
 
-    def visit(acc, colmin):
-        _witness(colmin, lifted, acc)
-        dim = _mask_dimension(acc, n)
+    def held(dim):
         if dim > top:
             raise AssertionError("a covering cell is of higher dimension than the tropical rank")
         return dim
 
-    def room_leaf(acc, colmin):
-        return visit(acc, colmin) == top
-
     for g in units:
-        if not _walk(units, n, room_leaf, list(_argmin_masks(g, units)), True, top):
+        if held(_local_dimension(g, units, n)) < top:
             return False, top
 
     alcove = _polytrope(polytope)
@@ -685,12 +752,13 @@ def _walk_verdict(polytope: Polytope):
         return True, top
 
     def leaf(acc, colmin):
-        dim = visit(acc, colmin)
+        _witness(colmin, lifted, acc)
+        dim = held(_mask_dimension(acc, n))
         key = _key(acc, n)
         keys[dim].append(key)
         if dim == top or any(_in_closure(key, keys[d]) for d in range(dim + 1, top + 1)):
             return False
-        return not _has_larger(units, n, acc)
+        return _local_profile(acc, n)[0] <= dim
 
     if _walk(units, n, leaf, [(1 << n) - 1] * len(units), True):
         return False, top
@@ -717,13 +785,20 @@ def pure_dimension(polytope: Polytope, max_tuples: int = DEFAULT_MAX_TUPLES):
     """(pure, dim): dim is the tropical dimension, pure whether every
     covering cell lies inside a covering cell of that dimension.
 
-    Served by the verdict walk over covering cells, each generator's room
-    first, which stops at the first covering cell of lower dimension than
-    the tropical rank that lies in the closure of no other covering cell.
-    When every room holds a top cell, a polytrope certificate (the
-    polytope or its minimal embedding is min-plus convex) answers pure
-    without the full walk; see `_walk_verdict`.  Memoised on the polytope;
-    the bound applies as for `cell_complex`, on every call.
+    The local cone lemma (`_walk_verdict`): near a point x of the polytope
+    with argmin masks A_i, the polytope is x plus the max-plus span of the
+    0/-inf indicators of the A_i, as the principal solution at x + z
+    moves by min_{A_i} z and generators outside A_i cannot reach x_p.  So
+    the local dimension at x, the largest dimension of a covering cell
+    whose closure holds x, is read off the masks (`_local_profile`), and
+    the polytope is pure exactly when it equals the tropical rank at every
+    point.  One extremal generator whose local dimension falls short
+    certifies impurity with no walk.  When every generator has the rank, a
+    polytrope certificate (the polytope or its minimal embedding is
+    min-plus convex) answers pure without the full walk; otherwise the
+    walk over covering cells stops at the first cell below the rank whose
+    local dimension is its own.  Memoised on the polytope; the bound
+    applies as for `cell_complex`, on every call.
     """
     _check_scale(polytope, max_tuples)
     if polytope._covering is None:

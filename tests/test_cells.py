@@ -31,7 +31,6 @@ from tropcheck.cells import (
     _UNIT,
     _feasible_masks,
     _fresh,
-    _has_larger,
     _scaled,
     argmin_profile,
     covector_dimension,
@@ -471,6 +470,13 @@ def _purity_oracle(faces):
     return all(any(covector_leq(t, f.covector) for t in top_cells) for f in covering), top
 
 
+def _has_larger(units, n, masks):
+    # the sub-walk the full walk's leaf test ran before `_local_profile`:
+    # a covering profile strictly inside `masks`, mask by mask, is the type
+    # of a covering cell whose closure holds the cell of `masks`
+    return cells._walk(units, n, lambda sub, _colmin: sub != masks, masks, True)
+
+
 # The verdict walk before it read its top dimension from the tropical rank,
 # kept as a reference: the top is min(n, m), lower leaves wait in `pending`
 # until a leaf of that dimension appears, and that first top leaf re-checks
@@ -553,20 +559,20 @@ def test_has_larger_finds_exactly_the_covering_cells_strictly_inside(p):
 
 
 def test_impure_verdict_stops_before_the_last_covering_cell(monkeypatch):
-    # a (5, 4) polytope, impure of dimension 4: the walk stops at an
-    # impurity certificate, so it decodes fewer witnesses than there are
-    # covering cells
+    # a (5, 4) polytope, impure of dimension 4: the verdict stops at an
+    # impurity certificate, so it re-checks fewer points, witnesses and
+    # the room pass's local profiles alike, than there are covering cells
     gens = random_polytope(5, 4, seed=5, lo=-20, hi=20).generators
     full = cell_complex(Polytope(gens))
     assert (full.pure, full.tropical_dim) == (False, 4)
     calls = []
-    real = cells._witness
+    real = cells._recheck
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cells, "_witness", counted)
+    monkeypatch.setattr(cells, "_recheck", counted)
     assert pure_dimension(Polytope(gens)) == (False, 4)
     assert 0 < len(calls) < len(full.covering_faces())
 
@@ -577,10 +583,10 @@ def _full_walks(monkeypatch):
     full = []
     real = cells._walk
 
-    def walk(units, n, leaf, room, covering, floor=0):
+    def walk(units, n, leaf, room, covering):
         if room == [(1 << n) - 1] * len(units):
             full.append(len(units))
-        return real(units, n, leaf, room, covering, floor)
+        return real(units, n, leaf, room, covering)
 
     monkeypatch.setattr(cells, "_walk", walk)
     return full
@@ -598,36 +604,38 @@ def test_a_room_certificate_skips_the_full_walk(monkeypatch):
 
 
 def test_an_empty_room_certifies_impurity(monkeypatch):
-    # each impurity verdict of the room pass comes from a room whose walk,
-    # floored at the rank, found no top leaf.  Unfloored, that room still
-    # holds none, and its least leaf lies in the closure of no other
-    # covering cell: `_has_larger`, the certificate the pass once asked
-    # for, stays the oracle
+    # each impurity verdict of the room pass comes from a generator whose
+    # local dimension, read off its argmin masks, falls below the rank.
+    # The walk over that generator's room then holds no top leaf, and its
+    # least leaf lies in the closure of no other covering cell:
+    # `_has_larger`, the certificate the pass once asked for, stays the
+    # oracle
     rooms = []
-    real = cells._walk
+    real = cells._local_dimension
 
-    def walk(units, n, leaf, room, covering, floor=0):
-        found = real(units, n, leaf, room, covering, floor)
-        if floor:
-            rooms.append((units, n, room, floor, found))
-        return found
+    def local(g, units, n):
+        rooms.append((g, units, n, real(g, units, n)))
+        return rooms[-1][3]
 
-    monkeypatch.setattr(cells, "_walk", walk)
+    monkeypatch.setattr(cells, "_local_dimension", local)
     certified = 0
     for s in range(40):
         full = cell_complex(random_polytope(5, 4, seed=s))
         rooms.clear()
         assert pure_dimension(random_polytope(5, 4, seed=s)) == (full.pure, full.tropical_dim)
-        if full.pure or rooms[-1][4]:
+        top = full.tropical_dim
+        if full.pure or rooms[-1][3] == top:
             continue
-        units, n, room, top, _ = rooms[-1]
+        g, units, n, _ = rooms[-1]
         leaves = []
-        real(units, n, lambda acc, colmin: leaves.append(acc), room, True)
+        cells._walk(units, n, lambda acc, colmin: leaves.append(acc), list(cells._argmin_masks(g, units)), True)
         assert all(cells._mask_dimension(acc, n) < top for acc in leaves)
         least = min(leaves, key=lambda acc: sum(a.bit_count() for a in acc))
         assert not _has_larger(units, n, least)
         certified += 1
     assert certified
+
+
 def test_the_rank_is_taken_once_per_polytope(monkeypatch):
     # the verdict walk and `tropical_dimension` share the memoised rank of
     # the extremal frame, and the memo survives the guard
@@ -691,9 +699,12 @@ def test_the_rank_route_answers_without_the_walk(monkeypatch):
         assert rank_report(a).tropical_rank == rank
         with pytest.raises(ScaleLimitExceeded):
             rank_report(a, max_tuples=10)
-    # the patch reaches the walk: purity still needs it
+    # the patch reaches the walk: purity still needs it where no
+    # certificate answers first, as on a pure polytope with no polytrope
+    # certificate
+    monkeypatch.setattr(cells, "_polytrope", lambda polytope: None)
     with pytest.raises(AssertionError, match="the walk was called"):
-        pure_dimension(polytopes[0])
+        pure_dimension(polytopes[4])
 
 
 def _full_route(p):
@@ -743,18 +754,15 @@ def test_a_rank_one_short_fails_the_cross_check(monkeypatch):
 
 
 def test_a_finished_walk_below_the_rank_fails_the_cross_check(monkeypatch):
-    # with the rank one too high, every room reporting a top leaf, no
-    # polytrope certificate (this polytope is min-plus convex) and every
-    # lower leaf held inside a larger cell, the full walk finishes and
-    # settles on a dimension below the rank
+    # with the rank one too high, every generator reporting the rank as its
+    # local dimension, no polytrope certificate (this polytope is min-plus
+    # convex) and every lower leaf held inside a larger cell, the full walk
+    # finishes and settles on a dimension below the rank
     real = cells._tropical_rank
     monkeypatch.setattr(cells, "_tropical_rank", lambda rows: real(rows) + 1)
-    real_walk = cells._walk
-    monkeypatch.setattr(
-        cells, "_walk", lambda units, n, leaf, room, covering, floor=0: floor > 0 or real_walk(units, n, leaf, room, covering)
-    )
+    monkeypatch.setattr(cells, "_local_dimension", lambda g, units, n: real(units) + 1)
     monkeypatch.setattr(cells, "_polytrope", lambda polytope: None)
-    monkeypatch.setattr(cells, "_has_larger", lambda units, n, masks: True)
+    monkeypatch.setattr(cells, "_local_profile", lambda masks, n: (n + 1, None, None))
     p = random_polytope(4, 4, seed=5)
     with pytest.raises(AssertionError, match="covering cells' dimension differs from the tropical rank"):
         pure_dimension(p)
@@ -790,8 +798,7 @@ def _ref_stranded(dist, n, rest, uncovered):
     return False
 
 
-def _ref_walk(units, n, leaf, room, covering, floor=0):
-    # no floor: it visits every leaf the floored walk does, and more
+def _ref_walk(units, n, leaf, room, covering):
     m = len(units)
 
     def walk(i, dist, acc, uncovered):
@@ -867,28 +874,27 @@ def _idempotent_spaces_to_six(draw):
         _idempotent_spaces_to_six(),
     )
 )
-def test_the_floor_drops_only_leaves_below_it(p):
-    # in every generator's room, the walk floored at the rank visits the
-    # unfloored walk's leaves less some below the rank, so it finds a top
-    # leaf exactly when the unfloored walk does
+def test_local_profiles_match_the_room_walks(p):
+    # in every generator's room, the closed form's dimension is the largest
+    # leaf dimension of the walk over that room, and the point g + z has
+    # exactly the closed form's profile; on every covering leaf, the closed
+    # form exceeds the leaf's own dimension exactly when `_has_larger`
+    # finds a covering cell whose closure holds it
     n = p.ambient
     units = _scaled(p)[0]
-    top = cells._rank(p)
     for g in units:
-        room = list(cells._argmin_masks(g, units))
-        leaves = {}
-        for floor in (0, top):
-            leaves[floor] = []
-            cells._walk(units, n, lambda acc, colmin: leaves[floor].append(acc), room, True, floor)
-        kept = sorted(leaves[top])
-        dropped = sorted(set(leaves[0]) - set(kept))
-        assert kept == sorted(set(kept)) and set(kept) <= set(leaves[0])
-        assert all(cells._mask_dimension(acc, n) < top for acc in dropped)
-
-        def is_top(acc, colmin):
-            return cells._mask_dimension(acc, n) == top
-
-        assert cells._walk(units, n, is_top, room, True, top) == cells._walk(units, n, is_top, room, True)
+        room = cells._argmin_masks(g, units)
+        leaves = []
+        cells._walk(units, n, lambda acc, colmin: leaves.append(acc), list(room), True)
+        dim, z, profile = cells._local_profile(room, n)
+        assert dim == max(cells._mask_dimension(acc, n) for acc in leaves)
+        assert cells._argmin_masks([a + b for a, b in zip(g, z)], units) == profile
+        assert cells._mask_dimension(profile, n) == dim
+    covering = []
+    cells._walk(units, n, lambda acc, colmin: covering.append(acc), [(1 << n) - 1] * len(units), True)
+    for acc in covering:
+        larger = cells._local_profile(acc, n)[0] > cells._mask_dimension(acc, n)
+        assert larger == _has_larger(units, n, acc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -926,16 +932,17 @@ def test_carried_dead_masks_match_the_closure(p):
 
 
 def test_verdict_walk_makes_fewer_stars_than_the_reference(monkeypatch):
-    # the verdict, its room walks and `_has_larger` sub-walks included, on
-    # forty (5, 4) polytopes: the walk's star steps against the reference's
-    # insertions.  The counts are deterministic, and the ceilings are this
-    # walk's own, so a change that re-inflates it fails here: index order
-    # takes 2665 stars, and entering the children the dead masks drop, 1627
-    # closures; waiting for a leaf of dimension min(n, m) instead of
-    # reading the top from the tropical rank, 2466 stars and 586 closures;
-    # the full walk alone, with no room pass first, 1577 and 422; a room
-    # pass that walks every subtree and asks `_has_larger` of a room with
-    # no top leaf, 840 and 358
+    # the whole verdict on forty (5, 4) polytopes: the walk's star steps
+    # against the reference's insertions.  The counts are deterministic,
+    # and the ceilings are this walk's own, so a change that re-inflates it
+    # fails here: index order takes 2665 stars, and entering the children
+    # the dead masks drop, 1627 closures; waiting for a leaf of dimension
+    # min(n, m) instead of reading the top from the tropical rank, 2466
+    # stars and 586 closures; the full walk alone, with no room pass
+    # first, 1577 and 422; a room pass that walks every subtree and asks
+    # `_has_larger` of a room with no top leaf, 840 and 358; room walks
+    # floored at the rank, 571 and 245.  Rooms read off the argmin masks
+    # take no star step
     calls = {"_star": 0, "_close": 0}
 
     def counted(name):
@@ -960,17 +967,18 @@ def test_verdict_walk_makes_fewer_stars_than_the_reference(monkeypatch):
     reference, insertions, _ = run(_ref_walk)
     assert verdicts == reference
     assert stars < insertions
-    assert stars <= 571
-    assert closures <= 245
+    assert stars <= 299
+    assert closures <= 63
 
 
 def test_pure_verdicts_make_few_stars(monkeypatch):
-    # five column spaces per (n, full rank) for n = 4, 5, 6, all pure: the
-    # room pass finds a top leaf in every room and the polytrope
-    # certificate answers, so no full walk runs.  The counts are
-    # deterministic and the ceilings are the walk's own; with the full
-    # walk after the room pass the same groups took 627, 505, 1949, 1183,
-    # 6062 and 1512 stars
+    # five column spaces per (n, full rank) for n = 4, 5, 6, all pure:
+    # every generator's local dimension is the rank and the polytrope
+    # certificate answers, so no walk runs.  The counts are deterministic
+    # and the ceilings are the verdict's own; with the full walk after the
+    # room pass the same groups took 627, 505, 1949, 1183, 6062 and 1512
+    # stars, and with room walks and no full walk 91, 86, 153, 150, 213
+    # and 185
     rng = random.Random(21)
     groups = [
         [column_space(random_idempotent(n, rng=rng, full_rank=full_rank, spread=5)) for _ in range(5)]
@@ -990,7 +998,7 @@ def test_pure_verdicts_make_few_stars(monkeypatch):
         stars[0] = 0
         assert all(pure_dimension(p, 10**30)[0] for p in group)
         counts.append(stars[0])
-    for count, ceiling in zip(counts, [91, 86, 153, 150, 213, 185]):
+    for count, ceiling in zip(counts, [0, 0, 0, 0, 0, 0]):
         assert count <= ceiling
 
 
@@ -1039,10 +1047,10 @@ def test_polytrope_certificates_answer_without_the_full_walk(monkeypatch):
     assert any(not Polytope(p.generators).is_min_plus_convex() for p in cases)
     real = cells._walk
 
-    def walk(units, n, leaf, room, covering, floor=0):
+    def walk(units, n, leaf, room, covering):
         if room == [(1 << n) - 1] * len(units):
             raise AssertionError("the full walk was reached")
-        return real(units, n, leaf, room, covering, floor)
+        return real(units, n, leaf, room, covering)
 
     monkeypatch.setattr(cells, "_walk", walk)
     assert [pure_dimension(Polytope(p.generators), 10**30) for p in cases] == expected
