@@ -594,8 +594,8 @@ def _full_walks(monkeypatch):
 
 def test_a_room_certificate_skips_the_full_walk(monkeypatch):
     # the generator (-6, 0, -9) lies in the closure of no 3-dimensional
-    # cell: its room walk finds no top leaf, and its least leaf certifies
-    # impurity before any walk over every profile
+    # cell: its local dimension, read off its argmin masks, falls below
+    # the rank and certifies impurity before any walk over every profile
     p = Polytope([[0, 0, 0], [0, -2, -1], [-6, 0, -9]])
     full = cell_complex(Polytope(p.generators))
     walks = _full_walks(monkeypatch)
@@ -1037,8 +1037,8 @@ def _polytropes():
 
 def test_polytrope_certificates_answer_without_the_full_walk(monkeypatch):
     # the verdict equals the full complex's, and no walk over every
-    # profile runs: each room has its top leaf, and the polytope or its
-    # minimal embedding is min-plus convex
+    # profile runs: every generator has the rank as its local dimension,
+    # and the polytope or its minimal embedding is min-plus convex
     cases = _polytropes()
     fulls = [cell_complex(Polytope(p.generators), 10**30) for p in cases]
     expected = [(full.pure, full.tropical_dim) for full in fulls]
