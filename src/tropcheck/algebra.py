@@ -1,13 +1,8 @@
 """Idempotency, von Neumann regularity, projectivity and the rank family.
 
-The projectivity decision is synthesize-and-verify: embed the polytope
-minimally, build the candidate idempotent whose i-th column is the infimum
-of the points with non-negative i-th coordinate, and accept exactly when
-that matrix is idempotent with the embedded polytope as its column space.
-This yields the witness idempotent for free and is exact; the min-plus
-convexity test (`Polytope.is_min_plus_convex`: are the infimum matrix's
-columns members?) stays available as a cross-check, and the tests hold
-that one to the breakpoint analysis.
+Projectivity is decided by the order route: equal generator and dual
+dimension and a min-plus closed minimal embedding (`is_min_plus_convex`),
+whose infimum matrix is then the witness idempotent (see `is_projective`).
 """
 
 from __future__ import annotations
@@ -123,32 +118,24 @@ def same_span(p: Polytope, q: Polytope) -> bool:
     return q._holds(*p.extremals()._ints()) and p._holds(*q.extremals()._ints())
 
 
-def _synthesize(polytope: Polytope) -> tuple[Matrix, str | None]:
-    """The infimum matrix of the polytope and why it fails to be an idempotent
-    with the polytope as its column space, or None when it is one."""
-    candidate = infimum_matrix(polytope)
-    if not is_idempotent(candidate):
-        return candidate, "the infimum matrix is not idempotent"
-    if not same_span(column_space(candidate), polytope):
-        return candidate, "the infimum matrix spans a different polytope"
-    return candidate, None
-
-
 def is_projective(polytope: Polytope) -> ProjectivityReport:
     """Decide projectivity of the polytope as a max-plus module.
 
     Projective polytopes are exactly those with generator dimension equal
-    to dual dimension whose minimal embedding is the column space of an
-    idempotent matrix; the infimum matrix is the only candidate.
+    to dual dimension whose minimal embedding's image P is the column space
+    of an idempotent; the infimum matrix M = G/G is the only candidate.  M
+    is idempotent: M_jj = 0 gives M @ M >= M, and a g with M_ji = g_j - g_i
+    gives M_jk + M_ki <= (g_j - g_k) + (g_k - g_i) = M_ji.  P lies in its
+    column space, as g_i + M_ji <= g_j, equal at j = i.  So the spans agree
+    exactly when M's columns lie in P: the min-plus test.
     """
     gendim = polytope.generator_dimension()
     dualdim = polytope.dual_dimension()
     reason, idempotent, embedding = REASON_DIMENSION_MISMATCH, None, None
     if gendim == dualdim:
         embedding = polytope.embed_minimal()
-        candidate, problem = _synthesize(embedding.embedded)
-        if problem is None:
-            reason, idempotent = REASON_PROJECTIVE, candidate
+        if embedding.embedded.is_min_plus_convex():
+            reason, idempotent = REASON_PROJECTIVE, infimum_matrix(embedding.embedded)
         else:
             reason = REASON_NOT_MIN_PLUS_CONVEX
     return ProjectivityReport(
@@ -164,16 +151,15 @@ def is_projective(polytope: Polytope) -> ProjectivityReport:
 def recover_idempotent(polytope: Polytope) -> Matrix:
     """The unique idempotent matrix with the given full-rank column space.
 
-    Requires generator dimension equal to the ambient dimension; verifies
-    the synthesized matrix and fails if the polytope is not an idempotent
-    column space at all.
+    Requires generator dimension equal to the ambient dimension.  As in
+    `is_projective`, the infimum matrix is that idempotent exactly when the
+    polytope is min-plus convex, and no idempotent spans it otherwise.
     """
     if polytope.generator_dimension() != polytope.ambient:
         raise NotFullRank("recovery needs generator dimension equal to the ambient dimension")
-    candidate, problem = _synthesize(polytope)
-    if problem is not None:
-        raise NotAnIdempotentColumnSpace(problem)
-    return candidate
+    if not polytope.is_min_plus_convex():
+        raise NotAnIdempotentColumnSpace("the infimum matrix spans a different polytope")
+    return infimum_matrix(polytope)
 
 
 def canonical_projection(e: Matrix, x):

@@ -25,10 +25,12 @@ import os
 import sys
 
 from .algebra import (
+    infimum_matrix,
     is_idempotent,
     is_projective,
     rank_report,
     regularity_witness,
+    same_span,
 )
 from .cells import DEFAULT_MAX_TUPLES, cell_complex, pure_dimension
 from .documents import (
@@ -48,6 +50,7 @@ from .errors import (
     OutputLimitExceeded,
     ScaleLimitExceeded,
 )
+from .polytopes import column_space
 from .svgplot import render_polytope_svg
 
 EXIT_OK = 0
@@ -218,16 +221,17 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _check_theorem(payload) -> None:
-    """The source paper's theorem on the `polytope` payload, whose fields
-    come by independent routes: projective iff pure with tropical, generator
-    and dual dimension equal, and, at full generator and dual dimension,
-    iff min-plus convex.  A violation is a defect in tropcheck."""
+def _check_theorem(polytope, payload) -> None:
+    """The source paper's theorem on the `polytope` payload, by routes apart
+    from the min-plus test behind `projective`: at full generator and dual
+    dimension, iff the infimum matrix spans the polytope (`same_span`); and
+    iff pure with all three dimensions equal (cells).  Violations are defects."""
     projective, gendim, dualdim = payload["projective"], payload["gendim"], payload["dualdim"]
+    full = gendim == dualdim == payload["ambient"]
+    if full and projective != same_span(column_space(infimum_matrix(polytope)), polytope):
+        raise AssertionError("projectivity disagrees with min-plus convexity at full dimension")
     if projective != (payload["pure"] and payload["tropical_dim"] == gendim == dualdim):
         raise AssertionError("projectivity disagrees with pure dimension")
-    if gendim == dualdim == payload["ambient"] and projective != payload["min_plus_convex"]:
-        raise AssertionError("projectivity disagrees with min-plus convexity at full dimension")
 
 
 def _cmd_polytope(args) -> int:
@@ -245,7 +249,7 @@ def _cmd_polytope(args) -> int:
         "reason": report.reason,
         "idempotent": matrix_to_document(report.idempotent) if report.idempotent else None,
     }
-    _check_theorem(payload)
+    _check_theorem(polytope, payload)
     _emit(args, payload)
     return EXIT_OK
 

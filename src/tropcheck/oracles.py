@@ -21,11 +21,13 @@ import random
 from fractions import Fraction
 
 from .algebra import (
+    infimum_matrix,
     is_projective,
     rank_report,
     recover_idempotent,
     regularity_witness,
     metric_closure,
+    same_span,
 )
 from .cells import covector, covector_leq, cell_complex, descend_to_singletons, pure_dimension
 from .errors import NonFiniteEntries, ScaleLimitExceeded
@@ -273,12 +275,13 @@ def full_dimension_polytope(rng, n: int, lo=-5, hi=5) -> Polytope:
 
 @_suite("projectivity-order")
 def suite_projectivity_order(rng, count, n, refute_samples=200):
-    """Projectivity vs min-plus convexity on full-dimension polytopes,
-    with the sampling refuter as a soundness check on the convex verdicts."""
+    """Projectivity (the order route) vs the span route on full-dimension
+    polytopes: does the infimum matrix span the polytope (`same_span`)?  The
+    sampling refuter checks the convex verdicts for soundness."""
     for _ in range(count):
         p = full_dimension_polytope(rng, rng.randint(1, n))
         projective = is_projective(p).projective
-        convex = p.is_min_plus_convex()
+        convex = same_span(column_space(infimum_matrix(p)), p)
         if projective != convex:
             yield {"generators": _poly_doc(p), "projective": projective, "min_plus_convex": convex}
         elif convex and minplus_sampling_refuter(p, refute_samples, rng=rng) is not None:

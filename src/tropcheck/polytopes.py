@@ -32,7 +32,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, EmptyPolytope, NonFiniteEntries
-from .semiring import Matrix, _combine, _common, _fractions, _frame_of, _lift, _principal, as_vector
+from .semiring import Matrix, _combine, _common, _fractions, _frame_of, _lift, _principal, _residual, as_vector
 
 
 def canonical_point(values) -> tuple:
@@ -62,7 +62,7 @@ class Polytope:
     # and sharing a polytope across threads stays safe.
     __slots__ = (
         "ambient", "_frame", "_generators", "_extremals", "_row_space",
-        "_complex", "_covering", "_rank", "_min_plus_convex",
+        "_complex", "_covering", "_rank", "_min_plus_convex", "_embedding",
     )
 
     def __init__(self, points):
@@ -101,6 +101,7 @@ class Polytope:
         self._covering = None  # owned by cells.pure_dimension
         self._rank = None  # owned by cells._rank
         self._min_plus_convex = None  # owned by is_min_plus_convex
+        self._embedding = None  # owned by embed_minimal
 
     @property
     def generators(self) -> tuple:
@@ -191,8 +192,11 @@ class Polytope:
         """Linearly embed into FT^k with k the dual dimension.
 
         Keeps one row of the generator matrix for each extremal point of
-        the row space and restricts every generator to the kept rows.
+        the row space and restricts every generator to the kept rows; when
+        that keeps every row, the image is `extremals()`.  Memoised.
         """
+        if self._embedding is not None:
+            return self._embedding
         denom, gens = self.extremals()._frame
         own, targets = self.row_space().extremals()._frame
         targets = _lift(targets, denom // own)  # own divides denom
@@ -206,12 +210,14 @@ class Polytope:
         selection.sort()
         if len(selection) != len(targets):
             raise AssertionError("every extremal row must occur among the rows")
-        embedded = Polytope._from_frame(len(selection), denom, [tuple([g[p] for p in selection]) for g in gens])
-        return EmbeddingReport(
+        embedded = self.extremals() if len(selection) == self.ambient else Polytope._from_frame(
+            len(selection), denom, [tuple([g[p] for p in selection]) for g in gens])
+        self._embedding = EmbeddingReport(
             target_dim=len(targets),
             embedded=embedded,
             row_selection=tuple(selection),
         )
+        return self._embedding
 
     # -- order structure
 
@@ -227,21 +233,22 @@ class Polytope:
         Q is the maximum over i of x_i plus column i.  So n membership
         tests of those columns decide closure.
 
-        Memoised on the polytope: the purity verdict asks it first
-        (`cells._walk_verdict`), and the caller's own question is then a
-        memo hit.
+        Memoised on `extremals()`, shared with a full-dimension image
+        (`embed_minimal`): the purity verdict asks it first, and the
+        caller's and `algebra.is_projective`'s questions are memo hits.
         """
-        if self._min_plus_convex is None:
-            self._min_plus_convex = self._min_plus_closed()
-        return self._min_plus_convex
+        ext = self.extremals()
+        if ext._min_plus_convex is None:
+            ext._min_plus_convex = self._min_plus_closed()
+        return ext._min_plus_convex
 
     def _min_plus_closed(self) -> bool:
         """`is_min_plus_convex` without the memo: is every column of the
-        infimum matrix, entry j of column i the least g_j - g_i over the
-        extremal generators, taken on their frame, a member?"""
+        infimum matrix G/G a member?  On the extremal generators' frame
+        those columns are the rows of the residual G^T \\ G^T, entry j of
+        row i the least g_j - g_i."""
         gens = self.extremals()._ints()[1]
-        cols = list(zip(*gens))
-        return all(_member(tuple([min([a - b for a, b in zip(cj, ci)]) for cj in cols]), gens) for ci in cols)
+        return all(_member(x, gens) for x in _residual(gens, gens))
 
     # -- value semantics
 

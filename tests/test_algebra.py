@@ -18,6 +18,8 @@ from tropcheck import (
     REASON_DIMENSION_MISMATCH,
     REASON_NOT_MIN_PLUS_CONVEX,
     REASON_PROJECTIVE,
+    EmbeddingReport,
+    ProjectivityReport,
     canonical_projection,
     column_space,
     greens_h,
@@ -32,6 +34,7 @@ from tropcheck import (
     recover_idempotent,
     regularity_witness,
     row_space,
+    same_span,
     vec_leq,
     vec_scale,
 )
@@ -254,6 +257,91 @@ def test_recover_rejects_non_idempotent_spaces(spike_polytope, wide_polytope):
         recover_idempotent(spike_polytope)
     with pytest.raises(NotFullRank):
         recover_idempotent(wide_polytope)
+
+
+# -- the synthesize route, kept as the reference for the order route
+#
+# Build the infimum matrix of the minimal embedding's image and accept when
+# it is an idempotent whose column space is that image.  `is_projective`'s
+# docstring proves the idempotency test never fails and the span test is
+# the min-plus test; here the two routes meet on seeded polytopes.
+
+
+def _ref_synthesize(polytope):
+    """The infimum matrix of the polytope and why it fails to be an idempotent
+    with the polytope as its column space, or None when it is one."""
+    candidate = infimum_matrix(polytope)
+    if not is_idempotent(candidate):
+        return candidate, "the infimum matrix is not idempotent"
+    if not same_span(column_space(candidate), polytope):
+        return candidate, "the infimum matrix spans a different polytope"
+    return candidate, None
+
+
+def _ref_is_projective(polytope):
+    """`is_projective` by synthesize-and-verify, on an image rebuilt from the
+    `Fraction` generators of a fresh copy of the polytope."""
+    fresh = Polytope(polytope.generators)
+    gendim, dualdim = fresh.generator_dimension(), fresh.dual_dimension()
+    if gendim != dualdim:
+        return ProjectivityReport(False, gendim, dualdim, REASON_DIMENSION_MISMATCH, None, None)
+    sel = fresh.embed_minimal().row_selection
+    image = Polytope([tuple(g[p] for p in sel) for g in fresh.extremals().generators])
+    embedding = EmbeddingReport(target_dim=dualdim, embedded=image, row_selection=sel)
+    candidate, problem = _ref_synthesize(image)
+    if problem is not None:
+        return ProjectivityReport(False, gendim, dualdim, REASON_NOT_MIN_PLUS_CONVEX, None, embedding)
+    return ProjectivityReport(True, gendim, dualdim, REASON_PROJECTIVE, candidate, embedding)
+
+
+def _ref_recover_idempotent(polytope):
+    if polytope.generator_dimension() != polytope.ambient:
+        raise NotFullRank("recovery needs generator dimension equal to the ambient dimension")
+    candidate, problem = _ref_synthesize(polytope)
+    if problem is not None:
+        raise NotAnIdempotentColumnSpace(problem)
+    return candidate
+
+
+def _outcome(f, p):
+    try:
+        return f(p)
+    except (NotFullRank, NotAnIdempotentColumnSpace) as exc:
+        return type(exc), str(exc)
+
+
+def _projectivity_corpus(rng):
+    """Per shape (n, m) with n, m in 1..6: integer and rational (denominators
+    up to 3) random polytopes and m points of the hull of fewer than n
+    random points; then column spaces of full-rank and lower-rank
+    idempotents, n in 1..6."""
+    for n in range(1, 7):
+        for m in range(1, 7):
+            for _ in range(20):
+                yield random_polytope(n, m, rng=rng, lo=-4, hi=4)
+                yield random_polytope(n, m, rng=rng, lo=-4, hi=4, max_den=3)
+                hull = random_polytope(n, rng.randint(1, max(1, n - 1)), rng=rng, max_den=rng.choice((1, 3)))
+                yield Polytope([random_point(hull, rng=rng) for _ in range(m)])
+    for n in range(1, 7):
+        for full_rank in (True, False):
+            for _ in range(30):
+                yield column_space(random_idempotent(n, rng=rng, full_rank=full_rank, spread=5))
+
+
+def test_order_route_matches_the_synthesize_route():
+    tally = {REASON_PROJECTIVE: 0, REASON_NOT_MIN_PLUS_CONVEX: 0, REASON_DIMENSION_MISMATCH: 0}
+    recovered = refused = 0
+    for p in _projectivity_corpus(random.Random(44)):
+        report = is_projective(p)
+        assert report == _ref_is_projective(p), p
+        tally[report.reason] += 1
+        got = _outcome(recover_idempotent, p)
+        assert got == _outcome(_ref_recover_idempotent, Polytope(p.generators)), p
+        recovered += isinstance(got, Matrix)
+        refused += not isinstance(got, Matrix) and got[0] is NotAnIdempotentColumnSpace
+    assert sum(tally.values()) >= 2500
+    assert min(tally.values()) >= 200, tally
+    assert recovered >= 500 and refused >= 100, (recovered, refused)
 
 
 # -- canonical projection

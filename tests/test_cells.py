@@ -1068,24 +1068,53 @@ def test_a_class_count_off_by_one_fails_the_cross_check(monkeypatch):
 def test_the_min_plus_test_runs_once_per_polytope(monkeypatch, tmp_path):
     # pure_dimension asks it first, and is_min_plus_convex and the
     # `polytope` subcommand then read the memo; a polytope that is not
-    # min-plus convex itself adds its minimal embedding's image, once
+    # min-plus convex itself adds its minimal embedding's image, once.
+    # Asked first, is_projective tests the memoised image; at full dual
+    # dimension that is the extremal polytope, which holds the polytope's
+    # memo, and below it pure_dimension tests the polytope as well
     tested = []
     real = Polytope._min_plus_closed
     monkeypatch.setattr(Polytope, "_min_plus_closed", lambda p: tested.append(p) or real(p))
     for p in _polytropes():
-        tested.clear()
-        fresh = Polytope(p.generators)
-        assert pure_dimension(fresh, 10**30)[0]
-        convex = fresh.is_min_plus_convex()
-        assert fresh.is_min_plus_convex() == convex
-        assert len(tested) == (1 if convex else 2)
-        assert tested[0] is fresh
-        assert convex or tested[1] is not fresh
+        for projective_first in (False, True):
+            tested.clear()
+            fresh = Polytope(p.generators)
+            if projective_first:
+                assert is_projective(fresh).projective
+            assert pure_dimension(fresh, 10**30)[0]
+            convex = fresh.is_min_plus_convex()
+            assert fresh.is_min_plus_convex() == convex
+            image = fresh.embed_minimal().embedded
+            assert fresh.embed_minimal() is fresh.embed_minimal()
+            assert (image is fresh.extremals()) == (image.ambient == fresh.ambient)
+            if projective_first:
+                assert len(tested) == (1 if image is fresh.extremals() else 2)
+                assert tested[0] is image
+            else:
+                assert len(tested) == (1 if convex else 2)
+                assert tested[0] is fresh
+                assert convex or tested[1] is not fresh
     doc = tmp_path / "p.json"
     doc.write_text(json.dumps({"ambient": 2, "generators": [[0, -1], [-2, 0]]}), encoding="utf-8")
     tested.clear()
     assert main(["polytope", "--input", str(doc), "--output", str(tmp_path / "out")]) == 0
     assert len(tested) == 1
+    # on a full-rank 4x4 idempotent's column space, the extremal reductions
+    # of the polytope and its row space and one min-plus test, 4
+    # membership tests each, answer all three (the synthesize route took 28)
+    calls = []
+    member = cells._member
+    counted = lambda x, gens: calls.append(x) or member(x, gens)
+    monkeypatch.setattr(cells, "_member", counted)
+    monkeypatch.setattr("tropcheck.polytopes._member", counted)
+    p = column_space(random_idempotent(4, rng=random.Random(3), spread=5))
+    tested.clear()
+    report = is_projective(p)
+    assert pure_dimension(p) == (True, 4)
+    assert p.is_min_plus_convex()
+    assert len(calls) <= 12
+    assert report.projective and report.gendim == report.dualdim == 4
+    assert report.embedding.embedded is p.extremals() and len(tested) == 1
 
 
 # -- invariance under translation, positive integer scaling and permutation
@@ -1102,10 +1131,12 @@ _mixed = st.builds(
 _invariance_polytopes = _polytopes(4, 4, _mixed, least=3)
 
 
-def _assert_invariant(p, image, perm):
+def _assert_invariant(p, image, perm, witness):
     """`image` maps points of p to points of q (new coordinate k is old
     coordinate perm[k]); cells, purity, dimension and the projectivity
-    verdict must correspond."""
+    verdict must correspond.  When p is projective, `witness(m, sel)` maps
+    the entries m of p's witness idempotent, on the coordinates sel that
+    p's minimal embedding keeps, to q's, or is None where it cannot say."""
     q = Polytope([image(g) for g in p.generators])
     old_gens = p.extremals().generators
     new_gens = q.extremals().generators
@@ -1122,20 +1153,51 @@ def _assert_invariant(p, image, perm):
     )
     assert sorted(key(f.covector, f.dim, f.covering) for f in after.faces) == expected
     assert (after.pure, after.tropical_dim) == (before.pure, before.tropical_dim)
-    assert is_projective(q).projective == is_projective(p).projective
+    old_report, new_report = is_projective(p), is_projective(q)
+    assert new_report.projective == old_report.projective
+    if old_report.projective:
+        expected = witness(old_report.idempotent.entries, old_report.embedding.row_selection)
+        assert expected is None or [list(row) for row in new_report.idempotent.entries] == expected
+
+
+def _translation(shift):
+    """(image, perm, witness) for `_assert_invariant`: x + shift.  Witness
+    entry (j, i) is the least g_j - g_i over the kept coordinates."""
+
+    def witness(m, sel):
+        return [[v + shift[sel[j]] - shift[sel[i]] for i, v in enumerate(row)] for j, row in enumerate(m)]
+
+    return (lambda x: tuple(a + d for a, d in zip(x, shift))), range(len(shift)), witness
+
+
+def _scaling(k, n):
+    """x times k > 0 in FT^n; the witness scales with it."""
+    return (lambda x: tuple(k * a for a in x)), range(n), lambda m, sel: [[k * v for v in row] for row in m]
+
+
+def _permutation(perm):
+    """New coordinate a is old coordinate perm[a].  Below full dual
+    dimension the kept coordinates may differ, so the witness is checked at
+    full dual dimension only."""
+
+    def witness(m, sel):
+        if len(sel) < len(perm):
+            return None
+        return [[m[perm[a]][perm[b]] for b in range(len(perm))] for a in range(len(perm))]
+
+    return (lambda x: tuple(x[j] for j in perm)), perm, witness
 
 
 @settings(max_examples=40, deadline=None)
 @given(_invariance_polytopes, st.data())
 def test_cells_invariant_under_translation(p, data):
-    shift = [data.draw(_mixed) for _ in range(p.ambient)]
-    _assert_invariant(p, lambda x: tuple(a + d for a, d in zip(x, shift)), range(p.ambient))
+    _assert_invariant(p, *_translation([data.draw(_mixed) for _ in range(p.ambient)]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(_invariance_polytopes, st.integers(1, 1000))
 def test_cells_invariant_under_positive_scaling(p, k):
-    _assert_invariant(p, lambda x: tuple(k * a for a in x), range(p.ambient))
+    _assert_invariant(p, *_scaling(k, p.ambient))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1143,7 +1205,23 @@ def test_cells_invariant_under_positive_scaling(p, k):
 def test_cells_invariant_under_permutation(p, rng):
     perm = list(range(p.ambient))
     rng.shuffle(perm)
-    _assert_invariant(p, lambda x: tuple(x[j] for j in perm), perm)
+    _assert_invariant(p, *_permutation(perm))
+
+
+def test_witnesses_follow_the_three_maps():
+    # few of the random polytopes above are projective; these all are, at
+    # full and at lower dual dimension, within the default cell bound
+    rng = random.Random(43)
+    cases = [p for p in _polytropes() if (2**p.ambient - 1) ** p.generator_dimension() <= 10**7]
+    assert {p.dual_dimension() == p.ambient for p in cases} == {True, False}
+    for p in cases:
+        assert is_projective(p).projective
+        shift = [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 7))) for _ in range(p.ambient)]
+        perm = list(range(p.ambient))
+        rng.shuffle(perm)
+        _assert_invariant(p, *_translation(shift))
+        _assert_invariant(p, *_scaling(rng.randint(1, 1000), p.ambient))
+        _assert_invariant(p, *_permutation(perm))
 
 
 # -- the frame-served verdicts under the same three maps
